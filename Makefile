@@ -4,38 +4,25 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test bench bench-gate bench-serving load-smoke scale-smoke coverage docs-check examples lint all
+.PHONY: test bench coverage docs-check examples lint all
 
-## Tier-1 test suite (fast; what CI gates on).
+## Tier-1 test suite (what CI and the PR pipeline gate on): tests/, the
+## figure tests under benchmarks/ and bench/test_smoke.py.  Clock-free, and
+## it leaves the checkout as it found it.
 test:
-	$(PYTHON) -m pytest -x -q tests
+	$(PYTHON) -m pytest -x -q
 
-## Figure-regeneration benchmarks (laptop scale, writes benchmarks/results/).
+## Regenerate the committed figure CSVs under benchmarks/results/ at the
+## scales the figure tests use (benchmarks/conftest.py).  The only command
+## that writes there; timing is measured by bench/run.py, not here.
 bench:
-	$(PYTHON) -m pytest -q benchmarks
-
-## Benchmark gate: re-run fig8/fig9 at smoke scale and fail on construction
-## regressions (>25% over budget) or probability drift (>1e-9) against the
-## committed baseline in benchmarks/results/bench_gate_baseline.json.
-bench-gate:
-	$(PYTHON) scripts/bench_gate.py
-
-## Serving benchmark: closed/open-loop HTTP load over a loopback server,
-## recorded to benchmarks/results/serving_http.csv.
-bench-serving:
-	$(PYTHON) scripts/bench_serving.py
-
-## Load smoke: hammer the HTTP server and fail on any 5xx, a blown p95
-## bound, or a non-monotonic /v1/stats counter (what the CI job runs).
-load-smoke:
-	$(PYTHON) scripts/load_smoke.py
-
-## Scale smoke: build a 10^5-tuple DBLP MVDB on the sqlite backend, compile
-## the MV-index, answer one fig-5 query end-to-end, and fail on a >2x
-## normalized wall-time regression against the committed baseline in
-## benchmarks/results/scale_smoke_baseline.json.
-scale-smoke:
-	$(PYTHON) scripts/scale_smoke.py
+	set -e; for figure in fig4 fig5 fig6 fig7 fig9; do \
+		$(PYTHON) -m repro $$figure --groups 14 --points 4 --out benchmarks/results; \
+	done
+	$(PYTHON) -m repro fig8 --groups 30 --points 4 --out benchmarks/results
+	set -e; for figure in fig1 fig10 fig11 scalability; do \
+		$(PYTHON) -m repro $$figure --groups 24 --out benchmarks/results; \
+	done
 
 ## Coverage gate (CI): needs pytest-cov; the fail-under floor lives in
 ## pyproject.toml [tool.coverage.report].
@@ -61,4 +48,4 @@ examples:
 lint:
 	ruff check src tests benchmarks scripts examples
 
-all: test lint bench bench-gate docs-check examples
+all: test lint docs-check examples

@@ -1,14 +1,14 @@
-"""Shared fixtures for the figure-regeneration benchmarks.
+"""Shared fixtures for the figure-regeneration tests.
 
-Every benchmark regenerates the data series of one table/figure of the paper
-(at laptop scale), prints it, and writes it as CSV under
-``benchmarks/results/`` so the numbers can be compared against the paper's
-shapes (see EXPERIMENTS.md).
+Every test regenerates the data series of one table/figure of the paper (at
+laptop scale), prints it, and asserts the paper's shape on exact quantities
+(lineage clauses, OBDD nodes, apply steps, pair expansions, touched
+components).  Timing columns are printed and written but never asserted —
+``bench/`` is where time is measured.  CSVs go to the test's ``tmp_path``;
+the committed ``benchmarks/results/*.csv`` are ``make bench`` output.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 
@@ -18,15 +18,6 @@ from repro.experiments import (
     SweepSettings,
     full_workload,
 )
-
-#: Directory that receives one CSV per regenerated figure.
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
 
 
 @pytest.fixture(scope="session")
@@ -60,9 +51,13 @@ def dblp_engine(dblp_workload):
     return MVQueryEngine(dblp_workload.mvdb)
 
 
-def emit(result, results_dir: Path) -> None:
-    """Print a result table and persist it as CSV."""
-    print()
-    print(result.to_text())
-    path = result.write_csv(results_dir)
-    print(f"[written] {path}")
+@pytest.fixture
+def emit(tmp_path):
+    """Print a result table and persist it as CSV under the test's ``tmp_path``."""
+
+    def _emit(result) -> None:
+        print()
+        print(result.to_text())
+        print(f"[written] {result.write_csv(tmp_path)}")
+
+    return _emit

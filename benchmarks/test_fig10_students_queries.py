@@ -1,23 +1,17 @@
-"""Fig. 10: per-query latency of ten "students of advisor X" queries (full dataset)."""
-
-from conftest import emit
+"""Fig. 10: per-query cost of ten "students of advisor X" queries (full dataset)."""
 
 from repro.experiments import fig10_students_of_advisor
 
 
-def test_fig10_students_queries(benchmark, full_settings, dblp_workload, dblp_engine, results_dir):
-    result = benchmark.pedantic(
-        lambda: fig10_students_of_advisor(full_settings, dblp_workload, dblp_engine),
-        rounds=1,
-        iterations=1,
-    )
-    emit(result, results_dir)
-    seconds = result.column("seconds")
+def test_fig10_students_queries(full_settings, dblp_workload, dblp_engine, emit):
+    result = fig10_students_of_advisor(full_settings, dblp_workload, dblp_engine)
+    emit(result)
+    steps = result.column("steps")
     answers = result.column("answers")
-    assert len(seconds) == full_settings.query_count
-    # Paper shape: every query answers in the low-millisecond range because only a
-    # small portion of the MV-index is touched.  Allow generous headroom for the
-    # pure-Python engine; the key property is that no query degenerates.
-    assert max(seconds) < 2.0
-    assert max(seconds) < 50 * max(min(seconds), 1e-4)
+    assert len(steps) == full_settings.query_count
     assert any(count > 0 for count in answers)
+    # Paper shape: no query degenerates, because only a small portion of the
+    # MV-index is touched — expansion steps per answer stay under a tenth of
+    # the index's node count.
+    budget = dblp_engine.mv_index.size / 10
+    assert all(work <= count * budget for work, count in zip(steps, answers))

@@ -1,15 +1,11 @@
 """Fig. 1 (tables): the dataset inventory — base, derived and probabilistic relations."""
 
-from conftest import emit
-
 from repro.experiments import fig1_dataset_inventory
 
 
-def test_fig1_dataset_inventory(benchmark, full_settings, results_dir):
-    result = benchmark.pedantic(
-        lambda: fig1_dataset_inventory(full_settings), rounds=1, iterations=1
-    )
-    emit(result, results_dir)
+def test_fig1_dataset_inventory(full_settings, emit):
+    result = fig1_dataset_inventory(full_settings)
+    emit(result)
     relations = set(result.column("relation"))
     # The full Fig. 1 inventory must be present: base tables, derived views,
     # probabilistic tables and the three MarkoViews.

@@ -1,13 +1,11 @@
 """Fig. 4: lineage size of the MarkoViews (W) as the aid domain grows."""
 
-from conftest import emit
-
 from repro.experiments import fig4_lineage_size
 
 
-def test_fig4_lineage_size(benchmark, sweep_settings, results_dir):
-    result = benchmark.pedantic(lambda: fig4_lineage_size(sweep_settings), rounds=1, iterations=1)
-    emit(result, results_dir)
+def test_fig4_lineage_size(sweep_settings, emit):
+    result = fig4_lineage_size(sweep_settings)
+    emit(result)
     sizes = result.column("lineage_size")
     domains = result.column("aid_domain")
     assert len(sizes) == sweep_settings.points

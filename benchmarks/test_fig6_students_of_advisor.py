@@ -1,21 +1,11 @@
 """Fig. 6: Alchemy (MC-SAT) vs augmented OBDD vs MV-index — "students of an advisor"."""
 
-import math
-
-from conftest import emit
+from test_fig5_advisor_of_student import assert_index_flat_while_obdd_grows
 
 from repro.experiments import fig6_students_of_advisor
 
 
-def test_fig6_students_of_advisor(benchmark, sweep_settings, results_dir):
-    result = benchmark.pedantic(
-        lambda: fig6_students_of_advisor(sweep_settings), rounds=1, iterations=1
-    )
-    emit(result, results_dir)
-    alchemy = [t for t in result.column("alchemy_total_s") if not math.isnan(t)]
-    obdd = result.column("augmented_obdd_s")
-    mvindex = result.column("mvindex_s")
-    assert all(mv <= ob for mv, ob in zip(mvindex, obdd))
-    assert all(a > m for a, m in zip(alchemy, mvindex))
-    # The online OBDD construction cost grows with the data; the index does not.
-    assert obdd[-1] >= obdd[0]
+def test_fig6_students_of_advisor(sweep_settings, emit):
+    result = fig6_students_of_advisor(sweep_settings)
+    emit(result)
+    assert_index_flat_while_obdd_grows(result, sweep_settings)

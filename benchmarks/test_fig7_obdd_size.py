@@ -1,15 +1,11 @@
 """Fig. 7: OBDD size of W (denial view V2) grows linearly with the aid1 domain."""
 
-from conftest import emit
-
 from repro.experiments import fig7_fig8_obdd_construction
 
 
-def test_fig7_obdd_size(benchmark, sweep_settings, results_dir):
-    sizes, __ = benchmark.pedantic(
-        lambda: fig7_fig8_obdd_construction(sweep_settings), rounds=1, iterations=1
-    )
-    emit(sizes, results_dir)
+def test_fig7_obdd_size(sweep_settings, emit):
+    sizes, __ = fig7_fig8_obdd_construction(sweep_settings)
+    emit(sizes)
     obdd_sizes = sizes.column("obdd_size")
     domains = sizes.column("aid_domain")
     assert all(later >= earlier for earlier, later in zip(obdd_sizes, obdd_sizes[1:]))

@@ -1,20 +1,20 @@
 """Fig. 9: worst-case intersection — MVIntersect vs cache-conscious CC-MVIntersect."""
 
-from conftest import emit
-
 from repro.experiments import fig9_intersection
 
 
-def test_fig9_intersect(benchmark, sweep_settings, results_dir):
-    result = benchmark.pedantic(lambda: fig9_intersection(sweep_settings), rounds=1, iterations=1)
-    emit(result, results_dir)
-    mv = result.column("mvintersect_s")
-    cc = result.column("cc_mvintersect_s")
+def test_fig9_intersect(sweep_settings, emit):
+    result = fig9_intersection(sweep_settings)
+    emit(result)
     nodes = result.column("index_nodes")
+    expansions = result.column("mvintersect_expansions")
     # The index (and hence the worst-case traversal) grows along the sweep.
-    assert nodes[-1] > nodes[0]
-    assert max(mv) >= min(mv)
-    # The cache-conscious layout must not lose overall.  The paper reports a ~2x
-    # improvement with the C++ vector layout; the pure-Python re-encoding keeps
-    # the same traversal and wins by a smaller margin (see EXPERIMENTS.md).
-    assert sum(cc) <= 1.5 * sum(mv)
+    assert all(later > earlier for earlier, later in zip(nodes, nodes[1:]))
+    assert all(later > earlier for earlier, later in zip(expansions, expansions[1:]))
+    # Worst case: the query lineage touches every component of the index.
+    assert result.column("touched_components") == result.column("index_components")
+    # The cache-conscious layout re-encodes the nodes, not the algorithm: both
+    # kernels do the same traversal and return the same float, so only the
+    # constant factors differ (the paper's ~2x comes from the C++ vector layout).
+    assert result.column("cc_mvintersect_expansions") == expansions
+    assert result.column("cc_mvintersect_p0") == result.column("mvintersect_p0")

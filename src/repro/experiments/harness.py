@@ -4,7 +4,8 @@ Every experiment runner in :mod:`repro.experiments` returns an
 :class:`ExperimentResult` — a named table with an x-column (domain size or
 query id) and one column per method/series, matching the series plotted by
 the corresponding figure of the paper.  Results can be pretty-printed (the
-benchmark harness does so) and written as CSV under ``benchmarks/results/``.
+figure tests do so) and written as CSV (``make bench`` writes the committed
+series under ``benchmarks/results/``).
 
 Runners that go through the client facade use :func:`query_row` to turn a
 typed :class:`repro.QueryResult` into a table row — the result already

@@ -234,8 +234,8 @@ def serving_http_loopback(
     loopback port and drives it with the zipf-skewed DBLP workload mix
     (:mod:`repro.serving.loadgen`), one cold round and one warm round.
     Reports throughput, latency percentiles and the per-tier cache hit
-    counts of the dispatcher — the figures the ``bench-serving`` script
-    records to ``benchmarks/results/serving_http.csv``.
+    counts of the dispatcher.  A quick look, not evidence: the measured
+    serving numbers are ``bench/``'s ``serve_zipf`` and ``fleet_hot``.
     """
     from repro.serving.loadgen import WorkloadMix, run_closed
     from repro.serving.server import ProbServer

@@ -22,7 +22,7 @@ from repro.mln.mcsat import McSatSampler
 from repro.mln.model import mln_from_mvdb
 from repro.mvindex.cc_intersect import cc_mv_intersect
 from repro.mvindex.index import MVIndex
-from repro.mvindex.intersect import mv_intersect
+from repro.mvindex.intersect import IntersectStatistics, mv_intersect
 from repro.obdd.construct import build_obdd
 from repro.obdd.order import order_from_permutations
 from repro.query.evaluator import evaluate_ucq
@@ -121,6 +121,8 @@ def _comparison(settings: SweepSettings, query_builder, name: str, description: 
             "augmented_obdd_s",
             "mvindex_s",
             "mvindex_warm_s",
+            "augmented_obdd_nodes",
+            "mvindex_pair_expansions",
         ],
     )
     for position, max_aid in enumerate(sweep_aid_values(data, settings.points)):
@@ -132,8 +134,12 @@ def _comparison(settings: SweepSettings, query_builder, name: str, description: 
         # Warm path: the same query served from a session's result cache — the
         # latency a long-lived serving process pays for repeated traffic.
         session = QuerySession(engine)
-        session.query(query, method="mvindex")
+        indexed = session.execute(query, method="mvindex")
         warm_time, __ = time_call(lambda: session.query(query, method="mvindex"))
+        # The figure's shape in exact work counts, free of the clock: nodes of
+        # the from-scratch OBDD of Q ∨ W grow with the database, the index's
+        # online expansions do not.
+        augmented = session.execute(query, method="obdd")
         if position < settings.alchemy_cutoff:
             alchemy_total, alchemy_sampling = _alchemy_times(workload, query, settings)
         else:
@@ -145,6 +151,8 @@ def _comparison(settings: SweepSettings, query_builder, name: str, description: 
             augmented_obdd_s=obdd_time,
             mvindex_s=index_time,
             mvindex_warm_s=warm_time,
+            augmented_obdd_nodes=augmented.obdd_nodes,
+            mvindex_pair_expansions=indexed.steps,
         )
     return result
 
@@ -221,7 +229,18 @@ def fig9_intersection(
     result = ExperimentResult(
         name="fig9_intersection",
         description="Worst-case query: MVIntersect vs cache-conscious CC-MVIntersect",
-        columns=["aid_domain", "index_nodes", "mvintersect_s", "cc_mvintersect_s"],
+        columns=[
+            "aid_domain",
+            "index_nodes",
+            "index_components",
+            "touched_components",
+            "mvintersect_s",
+            "cc_mvintersect_s",
+            "mvintersect_expansions",
+            "cc_mvintersect_expansions",
+            "mvintersect_p0",
+            "cc_mvintersect_p0",
+        ],
     )
     for max_aid in sweep_aid_values(data, settings.points):
         workload = build_sweep_mvdb(data, max_aid, include_views=("V1", "V2"))
@@ -238,8 +257,9 @@ def fig9_intersection(
         # Warm both algorithms once: the flat (cache-conscious) node layout is
         # part of the offline index in the paper, so its one-time construction
         # is excluded from the online query time being compared here.
-        mv_value = mv_intersect(index, query_lineage, probabilities)
-        cc_value = cc_mv_intersect(index, query_lineage, probabilities)
+        mv_statistics, cc_statistics = IntersectStatistics(), IntersectStatistics()
+        mv_value = mv_intersect(index, query_lineage, probabilities, statistics=mv_statistics)
+        cc_value = cc_mv_intersect(index, query_lineage, probabilities, statistics=cc_statistics)
         assert abs(mv_value - cc_value) < 1e-6
         # Sub-millisecond operations: report the best of several repetitions to
         # suppress interpreter warm-up noise.
@@ -254,7 +274,13 @@ def fig9_intersection(
         result.add_row(
             aid_domain=max_aid,
             index_nodes=index.size,
+            index_components=index.component_count(),
+            touched_components=cc_statistics.touched_components,
             mvintersect_s=mv_time,
             cc_mvintersect_s=cc_time,
+            mvintersect_expansions=mv_statistics.pair_expansions,
+            cc_mvintersect_expansions=cc_statistics.pair_expansions,
+            mvintersect_p0=mv_value,
+            cc_mvintersect_p0=cc_value,
         )
     return result

@@ -28,9 +28,8 @@ Responsibilities:
   parent's *original* engine and replays the log before serving by
   **importing** each sealed artifact
   (:meth:`~repro.serving.dispatch.Dispatcher.apply_sealed`) — no
-  recompilation, and the restarted replica is byte-identical to its peers
-  (legacy raw-spec entries without an artifact are still replayed through
-  the extender).  Subscription ops (``subscribe``/``unsubscribe``) are
+  recompilation, and the restarted replica is byte-identical to its
+  peers.  Subscription ops (``subscribe``/``unsubscribe``) are
   interleaved in the same log, so a restarted replica also re-arms every
   standing query in the original order and regenerates the identical
   notification stream.  The monitor restarts any replica whose applied log
@@ -78,12 +77,10 @@ def replay_entry(
 ) -> None:
     """Replay one mutation-log entry into a dispatcher.
 
-    New-form entries carry the leader's sealed compiled delta and are
+    Mutation entries carry the leader's sealed compiled delta and are
     imported as-is (byte-identical replicas, no recompile); an ``extend``
     artifact that attaches views additionally needs the extender to
-    rebuild the spec MVDB the view names resolve against.  Legacy entries
-    (raw extend specs, pre-artifact logs) fall back to a full
-    extend-and-recompile through the extender.
+    rebuild the spec MVDB the view names resolve against.
 
     The log also interleaves subscription ops (``{"kind": "subscribe",
     "subscription": spec}`` / ``{"kind": "unsubscribe", "id": ...}``) in
@@ -103,12 +100,7 @@ def replay_entry(
         return
     artifact = entry.get("artifact")
     if artifact is None:
-        if extender is None:
-            raise ServingError(
-                "mutation log holds a raw extend spec but no extender was configured"
-            )
-        dispatcher.extend(extender(dict(entry)))
-        return
+        raise ServingError("mutation log entry carries no sealed artifact")
     mvdb = None
     if artifact.get("kind") == "extend" and artifact.get("new_view_names"):
         if extender is None:
@@ -352,8 +344,8 @@ class ReplicaFleet:
     def record_extend(self, spec: dict[str, Any]) -> int:
         """Append one accepted mutation entry to the replay log; returns its length.
 
-        Entries are either new-form ``{"kind", "spec"/"facts", "artifact"}``
-        documents (see :func:`replay_entry`) or legacy raw extend specs.
+        Entries are ``{"kind", "spec"/"facts", "artifact"}`` documents or
+        subscription ops (see :func:`replay_entry`).
         """
         with self._lock:
             self._extend_log.append(json.loads(json.dumps(spec)))  # defensive copy

@@ -14,13 +14,8 @@ The generator drives a running :class:`~repro.serving.server.ProbServer`
   a fixed schedule, optionally firing one view extend (``/v1/extend``)
   mid-run.  Measures read latency while the write path is busy — the
   non-blocking-write claim, as a number;
-* **subscription mode** (:func:`run_subscriptions`) — register a fleet of
-  standing queries (``/v1/subscribe``), stream live ingest batches that
-  alternate between all-overlapping and Affiliation-only (so part of every
-  tick is provably skippable), and long-poll the notification stream
-  concurrently.  Measures standing-query tick cost and notify latency;
 
-both with a **zipf-skewed** choice of query entities (:class:`WorkloadMix`),
+all with a **zipf-skewed** choice of query entities (:class:`WorkloadMix`),
 so traffic is cache-realistic: a few hot queries dominate, with a long tail
 of cold ones — exactly the regime the dispatcher's caching tiers and the
 per-worker session affinity are built for.
@@ -28,12 +23,13 @@ per-worker session affinity are built for.
 Every worker keeps one persistent HTTP/1.1 connection (``http.client``),
 so the measured numbers are request costs, not TCP-handshake costs.  Every
 raw sample is tagged with its operation (``query`` / ``append`` /
-``extend`` / ``sub`` / ``notify``), and the resulting :class:`LoadReport` keeps separate latency
+``extend``), and the resulting :class:`LoadReport` keeps separate latency
 histograms per operation (``op_latency_ms``) on top of the headline
 query-only ``latency_ms`` — a slow write can never hide inside (or
-inflate) the read percentiles.  ``scripts/load_smoke.py`` and
-``scripts/bench_serving.py`` are thin wrappers over this module, as is the
-``python -m repro loadtest`` CLI subcommand.
+inflate) the read percentiles.  The ``python -m repro loadtest`` and
+``python -m repro ingest`` CLI subcommands are thin wrappers over this
+module.  It reports what a client saw; measured performance evidence comes
+from ``bench/`` (which drives the server with its own HTTP driver).
 """
 
 from __future__ import annotations
@@ -147,7 +143,7 @@ class LoadReport:
     qps: float = 0.0
     latency_ms: dict[str, float] = field(default_factory=dict)
     statuses: dict[str, int] = field(default_factory=dict)
-    #: Requests by operation tag (``query``/``append``/``extend``/``sub``/``notify``).
+    #: Requests by operation tag (``query``/``append``/``extend``).
     ops: dict[str, int] = field(default_factory=dict)
     #: Per-operation latency summaries over *successful* requests only —
     #: ``latency_ms`` stays query-only, so writes never skew the read tail.
@@ -285,35 +281,6 @@ class _Connection:
                 continue
             return response.status
         return 0  # pragma: no cover - unreachable
-
-    def post_json_reply(self, path: str, payload: dict[str, Any]) -> tuple[int, Any]:
-        """POST one JSON document; returns ``(status, parsed body or None)``.
-
-        Like :meth:`post_json` but parses 200 responses — the subscription
-        ops need the server-assigned id and the long-poll cursor back.
-        """
-        body = json.dumps(payload)
-        for attempt in (0, 1):
-            try:
-                connection = self._connect()
-                connection.request(
-                    "POST", path, body=body, headers={"Content-Type": "application/json"}
-                )
-                response = connection.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException):
-                self.close()
-                if attempt:
-                    return 0, None
-                continue
-            document = None
-            if response.status == 200:
-                try:
-                    document = json.loads(raw)
-                except json.JSONDecodeError:
-                    return 0, None
-            return response.status, document
-        return 0, None  # pragma: no cover - unreachable
 
 
 def _summarize(
@@ -552,32 +519,25 @@ def run_ingest(
     timeout: float = 30.0,
     append_interval_s: float = 1.0,
     append_batch: int = 4,
-    facts_factory: Any = None,
     extend_spec: dict[str, Any] | None = None,
-    extend_at_s: float | None = None,
 ) -> LoadReport:
     """Mixed read/write load: closed-loop queries plus an open-loop writer.
 
     ``concurrency`` query workers hammer ``/v1/query`` back-to-back for the
     whole run while one writer thread streams a fact append
-    (``facts_factory(batch_index)``, default :func:`dblp_ingest_facts`)
-    every ``append_interval_s`` seconds and — when ``extend_spec`` is given
-    — fires exactly one ``/v1/extend`` at ``extend_at_s`` (default:
-    mid-run).  Writer operations arrive on their schedule regardless of
-    how long they take (open loop), so a blocking write path shows up as
-    read-latency spikes in the query histogram, tagged separately from the
-    ``append`` / ``extend`` entries in ``op_latency_ms``.
+    (:func:`dblp_ingest_facts`, ``append_batch`` ids per batch) every
+    ``append_interval_s`` seconds and — when ``extend_spec`` is given —
+    fires exactly one ``/v1/extend`` mid-run.  Writer operations arrive on
+    their schedule regardless of how long they take (open loop), so a
+    blocking write path shows up as read-latency spikes in the query
+    histogram, tagged separately from the ``append`` / ``extend`` entries in
+    ``op_latency_ms``.
     """
     mix = mix or WorkloadMix()
     _Connection(url, timeout).close()  # fail fast on a bad URL
     mix.population()
     if append_interval_s <= 0:
         raise ServingError(f"append_interval_s must be positive, got {append_interval_s}")
-    if facts_factory is None:
-        def facts_factory(batch_index: int) -> dict[str, list]:
-            return dblp_ingest_facts(batch_index, batch_size=append_batch)
-    extend_at = duration_s / 2.0 if extend_at_s is None else extend_at_s
-
     start = time.monotonic()
     deadline = start + duration_s
     writer_samples: list[tuple[str, int, float, int]] = []
@@ -594,14 +554,14 @@ def run_ingest(
                     return
                 if scheduled > now:
                     time.sleep(scheduled - now)
-                if not extended and time.monotonic() - start >= extend_at:
+                if not extended and time.monotonic() - start >= duration_s / 2.0:
                     fired = time.monotonic()
                     status = connection.post_json("/v1/extend", dict(extend_spec))
                     writer_samples.append(("extend", status, time.monotonic() - fired, 0))
                     extended = True
                 fired = time.monotonic()
                 status = connection.post_json(
-                    "/v1/append", {"facts": facts_factory(batch_index)}
+                    "/v1/append", {"facts": dblp_ingest_facts(batch_index, append_batch)}
                 )
                 writer_samples.append(("append", status, time.monotonic() - fired, 0))
                 batch_index += 1
@@ -614,203 +574,6 @@ def run_ingest(
     writer_thread.join(timeout=timeout)
     elapsed = time.monotonic() - start
     return _summarize("ingest", elapsed, concurrency, None, samples + writer_samples)
-
-
-def dblp_affiliation_facts(
-    batch_index: int, batch_size: int = 4, base_id: int = 950000
-) -> dict[str, list]:
-    """An Affiliation-only ``/v1/append`` payload with fresh author ids.
-
-    The ids are brand new, so the rows join no Author/Student/Advisor tuple
-    and no RecentCoPub pair — V3 gains no ground rows and no MV-index
-    component is recompiled.  A delta built from such a batch touches only
-    the ``Affiliation`` relation, which makes every standing query over the
-    advisor/student templates *provably skippable* — the driver of the
-    skip-fraction assertion in the subscription smoke.
-    """
-    start = base_id + batch_index * batch_size
-    return {
-        "Affiliation": [
-            [[start + i, f"Ingest Inst {start + i}"], 1.2] for i in range(batch_size)
-        ]
-    }
-
-
-def dblp_hot_facts(
-    batch_index: int, batch_size: int = 2, base_id: int = 980000, entities: int = 4
-) -> dict[str, list]:
-    """A ``/v1/append`` payload that genuinely changes standing answers.
-
-    Adds fresh authors whose *names* contain a hot advisor entity
-    (``Advisor <k>``, rotating through the mix's entities) together with an
-    Affiliation row each — the ``affiliation_of_author`` template's answer
-    set for that entity gains rows, so change- and threshold-subscriptions
-    over it must fire on this tick.
-    """
-    start = base_id + batch_index * batch_size
-    k = batch_index % max(1, entities)
-    return {
-        "Author": [
-            [start + i, f"Ingest Advisor {k} Fellow {start + i}"]
-            for i in range(batch_size)
-        ],
-        "Affiliation": [
-            [[start + i, f"Ingest Inst {start + i}"], 3.0] for i in range(batch_size)
-        ],
-    }
-
-
-def subscription_batch_facts(
-    batch_index: int, batch_size: int = 4, entities: int = 4
-) -> dict[str, list]:
-    """The exact payload :func:`run_subscriptions`' writer sends per batch.
-
-    Public so smoke checks can replay the identical append sequence into an
-    in-process reference database and assert bit-identical answers.
-    """
-    rotation = batch_index % 3
-    if rotation == 0:
-        return dblp_hot_facts(batch_index, batch_size=batch_size, entities=entities)
-    if rotation == 1:
-        return dblp_affiliation_facts(batch_index, batch_size=batch_size)
-    return dblp_ingest_facts(batch_index, batch_size=batch_size, base_id=920000)
-
-
-def run_subscriptions(
-    url: str,
-    subscriptions: int = 100,
-    duration_s: float = 15.0,
-    concurrency: int = 2,
-    mix: WorkloadMix | None = None,
-    method: str = "mvindex",
-    seed: int = 0,
-    timeout: float = 30.0,
-    append_interval_s: float = 0.5,
-    append_batch: int = 4,
-) -> tuple[LoadReport, dict[str, Any]]:
-    """Standing-query load: register, ingest, long-poll — all concurrently.
-
-    First registers ``subscriptions`` standing queries drawn from the mix
-    (alternating change and threshold predicates), tagged ``sub`` in the
-    report.  Then, for ``duration_s``: one writer streams append batches
-    every ``append_interval_s`` seconds, rotating through
-    :func:`dblp_hot_facts` (answers genuinely change — notifications must
-    fire), :func:`dblp_affiliation_facts` (only the affiliation template's
-    subscriptions re-evaluate — everyone else is provably skipped) and
-    :func:`dblp_ingest_facts` (overlaps every template but changes no
-    answer); one listener long-polls ``/v1/notifications`` with a running
-    cursor, tagged ``notify``; and ``concurrency`` closed-loop workers keep
-    a light query stream going.  The headline ``latency_ms`` stays
-    query-only — subscription ops live in their own ``op_latency_ms``
-    entries.
-
-    Returns ``(report, extras)`` where ``extras`` carries the registered
-    subscription ids and every notification collected (each with its
-    server-assigned ``seq``), so callers can assert the exactly-once
-    contract: seq numbers contiguous, no gaps, no duplicates.
-    """
-    mix = mix or WorkloadMix()
-    _Connection(url, timeout).close()  # fail fast on a bad URL
-    mix.population()
-    if append_interval_s <= 0:
-        raise ServingError(f"append_interval_s must be positive, got {append_interval_s}")
-    rng = random.Random(seed * 48611 + 3)
-    sample_query = mix.sampler(rng)
-
-    registration = _Connection(url, timeout)
-    registration_samples: list[tuple[str, int, float, int]] = []
-    subscription_ids: list[str] = []
-    try:
-        for index in range(subscriptions):
-            payload: dict[str, Any] = {"query": sample_query(), "method": method}
-            if index % 2:
-                payload["predicate"] = {"kind": "threshold", "op": ">=", "value": 0.5}
-            started = time.monotonic()
-            status, document = registration.post_json_reply("/v1/subscribe", payload)
-            registration_samples.append(("sub", status, time.monotonic() - started, 0))
-            if status == 200 and isinstance(document, dict):
-                subscription_ids.append(document["subscription"]["id"])
-    finally:
-        registration.close()
-
-    start = time.monotonic()
-    deadline = start + duration_s
-    writer_samples: list[tuple[str, int, float, int]] = []
-
-    def writer() -> None:
-        connection = _Connection(url, timeout)
-        batch_index = 0
-        try:
-            while True:
-                scheduled = start + batch_index * append_interval_s
-                now = time.monotonic()
-                if scheduled >= deadline:
-                    return
-                if scheduled > now:
-                    time.sleep(scheduled - now)
-                facts = subscription_batch_facts(
-                    batch_index, batch_size=append_batch, entities=mix.entities
-                )
-                fired = time.monotonic()
-                status = connection.post_json("/v1/append", {"facts": facts})
-                writer_samples.append(("append", status, time.monotonic() - fired, 0))
-                batch_index += 1
-        finally:
-            connection.close()
-
-    notifications: list[dict[str, Any]] = []
-    notify_samples: list[tuple[str, int, float, int]] = []
-    stop_listening = threading.Event()
-
-    def listener() -> None:
-        connection = _Connection(url, timeout)
-        cursor = 0
-
-        def poll(wait_s: float, limit: int) -> None:
-            nonlocal cursor
-            started = time.monotonic()
-            status, document = connection.post_json_reply(
-                "/v1/notifications", {"since": cursor, "wait_s": wait_s, "limit": limit}
-            )
-            notify_samples.append(("notify", status, time.monotonic() - started, 0))
-            if status == 200 and isinstance(document, dict):
-                notifications.extend(document.get("notifications", []))
-                cursor = document.get("next", cursor)
-
-        try:
-            while not stop_listening.is_set():
-                poll(wait_s=1.0, limit=500)
-            # Ticks are synchronous with appends, so once the writer's last
-            # POST answered, everything it fired is in the log — one final
-            # non-blocking poll drains the tail.
-            poll(wait_s=0.0, limit=100000)
-        finally:
-            connection.close()
-
-    writer_thread = threading.Thread(target=writer, daemon=True)
-    listener_thread = threading.Thread(target=listener, daemon=True)
-    writer_thread.start()
-    listener_thread.start()
-    samples = _closed_samples(url, duration_s, concurrency, mix, method, seed, timeout)
-    writer_thread.join(timeout=timeout)
-    stop_listening.set()
-    listener_thread.join(timeout=timeout)
-    elapsed = time.monotonic() - start
-    report = _summarize(
-        "subscriptions",
-        elapsed,
-        concurrency,
-        None,
-        samples + registration_samples + writer_samples + notify_samples,
-    )
-    extras = {
-        "subscription_ids": subscription_ids,
-        "notifications": notifications,
-        # One writer sample per batch, in order — a parity reference can
-        # replay subscription_batch_facts(0..append_batches-1) verbatim.
-        "append_batches": len(writer_samples),
-    }
-    return report, extras
 
 
 def fetch_stats(url: str, timeout: float = 10.0) -> dict[str, Any]:

@@ -810,22 +810,17 @@ class Router:
                 return
             document = json.loads(response)
             artifact = document.pop("artifact", None)
+            if artifact is None:  # pragma: no cover - a replica always ships it when asked
+                raise ServingError("the leader replica shipped no sealed artifact")
             response = json.dumps(document, sort_keys=True).encode("utf-8")
-            if artifact is not None:
-                entry: dict[str, Any] = {"artifact": artifact}
-                if path == "/v1/extend":
-                    entry.update(kind="extend", spec=spec)
-                    import_body = json.dumps(
-                        {"artifact": artifact, "spec": spec}, sort_keys=True
-                    ).encode("utf-8")
-                else:
-                    entry.update(kind="append", facts=spec.get("facts"))
-                    import_body = json.dumps(
-                        {"artifact": artifact}, sort_keys=True
-                    ).encode("utf-8")
-                follower_path, follower_body = "/v1/import", import_body
-            else:  # pragma: no cover - leader predating ship_artifact
-                entry, follower_path, follower_body = dict(spec), path, body
+            entry: dict[str, Any] = {"artifact": artifact}
+            if path == "/v1/extend":
+                entry.update(kind="extend", spec=spec)
+                import_body = {"artifact": artifact, "spec": spec}
+            else:
+                entry.update(kind="append", facts=spec.get("facts"))
+                import_body = {"artifact": artifact}
+            follower_body = json.dumps(import_body, sort_keys=True).encode("utf-8")
             log_len = self.fleet.record_extend(entry)
             self.fleet.note_extend_applied(leader_slot, log_len)  # type: ignore[arg-type]
             for slot in remaining:
@@ -833,7 +828,7 @@ class Router:
                     continue  # a fresh fork already replayed this mutation
                 try:
                     follower_status, _, _, _ = self._forward(
-                        slot, "POST", follower_path, follower_body
+                        slot, "POST", "/v1/import", follower_body
                     )
                 except _UpstreamError:
                     self._note_upstream_error(slot)

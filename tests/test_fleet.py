@@ -12,8 +12,9 @@ Covers the issue's scale-out contract:
   only when every replica is down;
 * fleet fault paths over real forked processes: kill -9 mid-load with
   automatic restart, extend-while-serving broadcast keeping all replicas
-  byte-identical with an in-process ``ProbDB.extend``, and replay of the
-  extend log by restarted replicas;
+  byte-identical with an in-process ``ProbDB.extend``, replay of the
+  extend log by restarted replicas, and a re-forked follower regenerating
+  the byte-identical notification stream of its peers;
 * the CLI contract: ``repro serve --port 0 --replicas N`` prints the URL
   only after every replica passed its first health check;
 * graceful drain: ``ProbServer.stop()`` must not hang on idle keep-alive
@@ -463,6 +464,66 @@ class TestIngestBroadcast:
         reference = self._reference()
         for query in QUERIES:
             assert _answers(remote.query(query)) == _answers(reference.query(query))
+
+
+class TestSubscriptionBroadcast:
+    """Standing queries through the router: one stream, whichever replica survives."""
+
+    QUERY = "Q(inst) :- Affiliation(aid, inst), Author(aid, n), n like '%Advisor 1%'"
+
+    @staticmethod
+    def _hot_facts(author_id):
+        # A fresh author whose name matches QUERY, with an affiliation: the
+        # standing query's answer set gains a row, so the tick must fire.
+        return {
+            "Author": [[author_id, f"Ingest Advisor 1 Fellow {author_id}"]],
+            "Affiliation": [[[author_id, f"Ingest Inst {author_id}"], 3.0]],
+        }
+
+    @staticmethod
+    def _replica_stream(fleet, slot):
+        host, port = fleet.address(slot)
+        document = repro.connect_remote(f"http://{host}:{port}").notifications(limit=100000)
+        return document["notifications"]
+
+    @staticmethod
+    def _settle(fleet):
+        # The monitor may re-fork a follower it caught mid-broadcast (behind
+        # the log for an instant); wait until every slot is up and caught up.
+        deadline = time.monotonic() + 15.0
+        while time.monotonic() < deadline:
+            if len(fleet.alive_slots()) == 2 and all(
+                slot.process is not None and slot.applied_len == fleet.extend_log_len
+                for slot in fleet._slots
+            ):
+                return
+            time.sleep(0.05)
+        raise AssertionError("the fleet never settled on the full mutation log")
+
+    def test_follower_restart_regenerates_the_identical_notification_stream(self, router, remote):
+        fleet = router.fleet
+        remote.subscribe(self.QUERY)
+        remote.subscribe(self.QUERY, predicate={"kind": "threshold", "op": ">=", "value": 0.5})
+        remote.append_facts(self._hot_facts(985001))
+        self._settle(fleet)
+        restarts = fleet.restarts_total
+        os.kill(fleet._slots[1].process.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 15.0
+        while fleet.restarts_total == restarts and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert fleet.restarts_total > restarts
+        self._settle(fleet)
+        remote.append_facts(self._hot_facts(985002))
+        self._settle(fleet)
+
+        # Exactly-once through the router: gapless, duplicate-free from seq 1.
+        collected = remote.notifications(limit=100000)["notifications"]
+        assert collected, "no notification fired although the answers changed"
+        assert [entry["seq"] for entry in collected] == list(range(1, len(collected) + 1))
+        # Every replica — the re-forked follower replayed the op log — holds
+        # the byte-identical stream the client collected.
+        for slot in fleet.alive_slots():
+            assert self._replica_stream(fleet, slot) == collected
 
 
 class TestRouterAllReplicasDown:

@@ -30,7 +30,7 @@ from repro.dblp.workload import build_mvdb
 from repro.errors import ParseError, ServingError
 from repro.serving.dispatch import Dispatcher
 from repro.serving.fleet import replay_entry
-from repro.serving.loadgen import _summarize, subscription_batch_facts
+from repro.serving.loadgen import _summarize, dblp_ingest_facts
 from repro.serving.server import ProbServer
 from repro.subscribe import (
     NotificationLog,
@@ -70,6 +70,40 @@ def _service(backend=None, path=None):
 
 def _answers(result):
     return {answer.values: answer.probability for answer in result.answers}
+
+
+def subscription_batch_facts(batch_index, batch_size, entities):
+    """An append payload; the batches rotate through the three kinds of tick.
+
+    * ``batch_index % 3 == 0`` — answers genuinely change: fresh authors whose
+      *names* contain a hot advisor entity (``Advisor <k>``, rotating through
+      the entities) plus an Affiliation row each, so the affiliation template's
+      answer set for that entity gains rows and its subscriptions must fire;
+    * ``== 1`` — Affiliation-only rows with brand-new ids: they join no
+      Author/Student/Advisor tuple and recompile no MV-index component, so
+      every advisor/student standing query is provably skippable;
+    * ``== 2`` — overlaps every template's relations but changes no answer.
+    """
+    rotation = batch_index % 3
+    if rotation == 0:
+        start = 980000 + batch_index * batch_size
+        k = batch_index % entities
+        return {
+            "Author": [
+                [start + i, f"Ingest Advisor {k} Fellow {start + i}"] for i in range(batch_size)
+            ],
+            "Affiliation": [
+                [[start + i, f"Ingest Inst {start + i}"], 3.0] for i in range(batch_size)
+            ],
+        }
+    if rotation == 1:
+        start = 950000 + batch_index * batch_size
+        return {
+            "Affiliation": [
+                [[start + i, f"Ingest Inst {start + i}"], 1.2] for i in range(batch_size)
+            ]
+        }
+    return dblp_ingest_facts(batch_index, batch_size=batch_size, base_id=920000)
 
 
 # --------------------------------------------------------------- tick parity
@@ -315,6 +349,9 @@ def test_replay_subscription_entry_without_service_is_an_error():
     try:
         with pytest.raises(ServingError):
             replay_entry(dispatcher, None, {"kind": "subscribe", "subscription": {}})
+        # A mutation entry is a sealed artifact; a raw spec is not replayable.
+        with pytest.raises(ServingError, match="no sealed artifact"):
+            replay_entry(dispatcher, None, {"groups": GROUPS, "seed": SEED, "views": ["V3"]})
     finally:
         dispatcher.close()
 
