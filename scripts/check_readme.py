@@ -9,7 +9,10 @@ deprecated import surface.  A block that exits non-zero fails the check.
 Shell blocks (```bash) are not executed.
 
 Also render-checks the docstring surface: ``python -m pydoc`` must be able
-to render every module listed in ``PYDOC_MODULES`` without error.
+to render every module listed in ``PYDOC_MODULES`` without error.  And every
+symbol reference of the form `` `src/….py` (`symbol`) `` must name a ``def``
+or ``class`` that file contains (dotted names: every part), so a rename or
+a move cannot leave the docs pointing at nothing.
 
 Usage::
 
@@ -54,6 +57,7 @@ PYDOC_MODULES = [
 ]
 
 _BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+_SYMBOL_RE = re.compile(r"`(src/[\w/]+\.py)`\s+\(`([\w.]+)`")
 
 
 def python_blocks(markdown: str) -> list[str]:
@@ -98,6 +102,25 @@ def check_pydoc(env: dict[str, str]) -> bool:
     return ok
 
 
+def check_symbols(path: Path, markdown: str) -> bool:
+    """Every `` `src/….py` (`symbol`) `` reference resolves to a def/class."""
+    ok = True
+    references = _SYMBOL_RE.findall(markdown)
+    for file_name, symbol in references:
+        source = REPO_ROOT / file_name
+        text = source.read_text(encoding="utf-8") if source.is_file() else ""
+        found = all(
+            re.search(rf"^\s*(?:def|class)\s+{re.escape(part)}\b", text, re.MULTILINE)
+            for part in symbol.split(".")
+        )
+        if not found:
+            print(f"FAIL {path}: `{file_name}` does not define `{symbol}`")
+            ok = False
+    if ok and references:
+        print(f"ok   {path}: {len(references)} symbol references")
+    return ok
+
+
 def main(argv: list[str]) -> int:
     files = [Path(name) for name in argv] or [REPO_ROOT / name for name in DEFAULT_FILES]
     env = dict(os.environ)
@@ -105,7 +128,9 @@ def main(argv: list[str]) -> int:
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     ok = True
     for path in files:
-        blocks = python_blocks(path.read_text(encoding="utf-8"))
+        markdown = path.read_text(encoding="utf-8")
+        ok = check_symbols(path, markdown) and ok
+        blocks = python_blocks(markdown)
         if not blocks:
             print(f"warn {path}: no python blocks found")
         for index, block in enumerate(blocks, start=1):

@@ -234,11 +234,6 @@ def build_serving_parser() -> argparse.ArgumentParser:
     load.add_argument(
         "--json", action="store_true", help="print the typed result as a JSON document"
     )
-    load.add_argument(
-        "--no-skip",
-        action="store_true",
-        help="disable summary-driven component skipping (ablation/debugging)",
-    )
 
     batch = commands.add_parser(
         "serve-batch",
@@ -256,11 +251,6 @@ def build_serving_parser() -> argparse.ArgumentParser:
     batch.add_argument("--repeat", type=int, default=2, help="rounds (first cold, rest warm)")
     batch.add_argument(
         "--json", action="store_true", help="print per-round typed results as JSON documents"
-    )
-    batch.add_argument(
-        "--no-skip",
-        action="store_true",
-        help="disable summary-driven component skipping (ablation/debugging)",
     )
 
     serve = commands.add_parser(
@@ -465,8 +455,6 @@ def _cmd_load_index(args: argparse.Namespace) -> int:
     from repro.experiments.harness import time_call
 
     load_seconds, db = time_call(lambda: repro.open(args.artifact))
-    if args.no_skip:
-        db.engine.disable_skipping()
     index = db.engine.mv_index
     if not args.json:
         print(f"cold start from artifact: {load_seconds:.3f}s")
@@ -498,8 +486,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     from repro.query.parser import parse_query
 
     db = repro.open(args.artifact)
-    if args.no_skip:
-        db.engine.disable_skipping()
     if args.queries:
         lines = Path(args.queries).read_text().splitlines()
         queries = [

@@ -47,7 +47,6 @@ from repro.query.ucq import UCQ, as_ucq
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.markoview import MarkoView
     from repro.methods import InferenceMethod
-    from repro.mvindex.intersect import IntersectStatistics
 
 #: The paper's five evaluation methods.  Deprecated: the authoritative list
 #: (which includes registered third-party methods) is
@@ -96,8 +95,7 @@ class MVQueryEngine:
 
         #: Per-component skip summaries (:mod:`repro.mvindex.summaries`),
         #: built alongside the index and maintained in O(delta) by
-        #: :meth:`apply_pending`; ``None`` when no index exists or skipping
-        #: was disabled.
+        #: :meth:`apply_pending`; ``None`` when no index exists.
         self.summaries: SummaryStore | None = None
         if self.mv_index is not None:
             self.summaries = SummaryStore.from_index(self.mv_index, self.indb.tuple_of)
@@ -125,8 +123,7 @@ class MVQueryEngine:
         from a saved artifact.  ``mvdb`` may be ``None``; online query
         answering only needs the translated products, never the source MVDB.
         ``summaries`` carries skip summaries restored from the artifact;
-        when absent they are recomputed from the restored index (the
-        version-1 artifact upgrade path).
+        when absent they are recomputed from the restored index.
         """
         engine = cls.__new__(cls)
         engine.mvdb = mvdb
@@ -690,22 +687,13 @@ class MVQueryEngine:
 
         Returns the provably-relevant component set as a
         :class:`~repro.mvindex.summaries.SkipAnalysis`, or ``None`` when the
-        engine has no summaries (no index, or skipping disabled).  Sharing
-        one analysis across a batch is sound — the union of the queries'
-        atoms only widens the relevant set.
+        engine has no summaries (no index).  Sharing one analysis across a
+        batch is sound — the union of the queries' atoms only widens the
+        relevant set.
         """
         if self.summaries is None:
             return None
         return self.summaries.analyze(queries)
-
-    def disable_skipping(self) -> None:
-        """Drop the skip layer: every query takes the unrestricted path.
-
-        The ablation/debug switch behind the CLI ``--no-skip`` flag.  Sound
-        by construction (skipping only ever prunes provably-cancelling
-        work), irreversible for this engine instance short of a rebuild.
-        """
-        self.summaries = None
 
     # ---------------------------------------------------------------- queries
     def query(
@@ -720,32 +708,23 @@ class MVQueryEngine:
         For a Boolean query the result maps the empty tuple to ``P(Q)``
         (absent if the query has no derivation, i.e. probability 0).  This
         is the low-level map interface; :meth:`repro.ProbDB.query` returns
-        typed :class:`repro.QueryResult` objects instead.  ``use_skip=False``
-        bypasses the summary-driven component pruning for this one call
-        (answers are bit-identical either way; the flag exists for
-        ablations).
+        typed :class:`repro.QueryResult` objects instead.  ``use_skip`` is
+        accepted and selects nothing: there is one read path, and the frozen
+        ``bench/checks.py`` still passes ``use_skip=False``.
         """
         ucq = as_ucq(query)
         resolved = self.resolve_method(method)
         self.validate_query(ucq)
-        skip = None
-        if use_skip and resolved.supports_skip:
-            skip = self.skip_analysis(ucq)
         result = evaluate_ucq(ucq, self.indb.database, self.indb)
-        answers: dict[tuple[Any, ...], float] = {}
-        for answer, lineage in result.lineages().items():
-            if skip is not None:
-                answers[answer] = resolved.probability(self, lineage, skip=skip)
-            else:
-                answers[answer] = resolved.probability(self, lineage)
-        return answers
+        return {
+            answer: resolved.probability(self, lineage)
+            for answer, lineage in result.lineages().items()
+        }
 
     def boolean_probability(
         self,
         query: UCQ | ConjunctiveQuery,
         method: str = "mvindex",
-        *,
-        use_skip: bool = True,
     ) -> float:
         """``P(Q)`` for a Boolean query (0.0 if it has no derivations).
 
@@ -760,17 +739,7 @@ class MVQueryEngine:
                 f"free head variables {tuple(v.name for v in ucq.head)}; "
                 "use query() for non-Boolean queries"
             )
-        return self.query(ucq, method=method, use_skip=use_skip).get((), 0.0)
-
-    # ---------------------------------------------------------------- internals
-    def _lineage_probability(
-        self,
-        lineage: DNF,
-        method: str,
-        statistics: "IntersectStatistics | None" = None,
-    ) -> float:
-        """Probability of one answer lineage via the resolved method."""
-        return self.resolve_method(method).probability(self, lineage, statistics)
+        return self.query(ucq, method=method).get((), 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         index = "no index" if self.mv_index is None else repr(self.mv_index)

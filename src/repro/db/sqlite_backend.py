@@ -10,7 +10,9 @@ Physical design:
 
 * the connection runs in **WAL mode** with ``synchronous=NORMAL`` — readers
   never block the writer and commits need no fsync-per-transaction, the
-  recipe for concurrent serving traffic over a live ingest stream;
+  recipe for concurrent serving traffic over a live ingest stream — and an
+  explicit ``busy_timeout``, so a second connection to the same file waits
+  for a lock instead of failing with ``database is locked``;
 * columns are declared **without type affinity**, so SQLite preserves the
   storage class of every value (ints stay ints, floats stay floats, text
   stays text) and round trips are exact;
@@ -50,6 +52,11 @@ SUPPORTED_TYPES = (int, float, str, bool, type(None))
 
 #: Rows fetched per lock acquisition while streaming a scan.
 SCAN_BATCH = 4096
+
+#: How long a statement waits on a lock another connection to the same file
+#: holds before it fails with ``database is locked``.  Set as a pragma so it
+#: does not depend on the driver's connect-time default (5 s in ``sqlite3``).
+BUSY_TIMEOUT_MS = 30_000
 
 
 def _quote(identifier: str) -> str:
@@ -92,6 +99,7 @@ class SqliteBackend:
         cursor = self._connection.cursor()
         cursor.execute("PRAGMA journal_mode=WAL")
         cursor.execute("PRAGMA synchronous=NORMAL")
+        cursor.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         cursor.execute("PRAGMA temp_store=MEMORY")
         cursor.execute("PRAGMA cache_size=-65536")  # 64 MiB page cache
 

@@ -64,11 +64,6 @@ class InferenceMethod:
     #: Whether the method handles tuple probabilities outside ``[0, 1]``
     #: (the negative weights produced by positive MarkoView correlations).
     supports_negative_weights: bool = True
-    #: Whether :meth:`probability` accepts the ``skip`` keyword (a
-    #: pre-computed :class:`~repro.mvindex.summaries.SkipAnalysis`).  Call
-    #: sites only pass ``skip=`` when this is ``True``, so third-party
-    #: methods with the plain three-argument signature keep working.
-    supports_skip: bool = False
     #: One-line description shown by ``repro.methods.describe()``.
     description: str = ""
 
@@ -121,12 +116,10 @@ class _TheoremOneMethod(InferenceMethod):
 class _IntersectMethod(InferenceMethod):
     """Online evaluation against the pre-compiled MV-index (Sect. 4)."""
 
-    supports_skip = True
-
     #: The intersection algorithm (set by subclasses).
     _intersect = None
 
-    def probability(self, engine, lineage, statistics=None, skip=None):
+    def probability(self, engine, lineage, statistics=None):
         if lineage.is_false:
             return 0.0
         if engine.w_lineage.is_false:
@@ -147,21 +140,9 @@ class _IntersectMethod(InferenceMethod):
             engine.probabilities,
             statistics=statistics,
             include_untouched=False,
-            skip=skip,
         )
         touched_keys = {c.key for c in index.touched_components(lineage.variables())}
-        if skip is not None and not touched_keys <= skip.relevant_keys:
-            # Defensive fallback: a sound analysis always covers the touched
-            # set, so this only fires on stale summaries — and then the
-            # unrestricted scan keeps the answer correct regardless.
-            skip = None
-        if skip is not None:
-            # The analysis proved touched ⊆ relevant, so the denominator
-            # fold never has to scan the skipped components; same relative
-            # order as the full scan, hence a bit-identical product.
-            denominator = index.touched_factor_of(touched_keys)
-        else:
-            denominator = index.touched_factor(touched_keys)
+        denominator = index.touched_factor_of(touched_keys)
         if denominator == 0.0:
             raise InferenceError(
                 "P0(¬W) = 0: the MarkoView hard constraints are violated in every world"

@@ -1,4 +1,4 @@
-"""CC-MVIntersect: the cache-conscious variant of MVIntersect.
+"""CC-MVIntersect, and the set-up both intersection kernels share.
 
 The paper's CC-MVIntersect (Sect. 4.3) replaces the pointer-based BDD node
 representation with a flat vector sorted by the DFS order of the OBDD, so
@@ -11,6 +11,11 @@ recursive calls over manager nodes and tuple-keyed dictionaries.  The
 algorithmic behaviour (what is traversed, which shortcuts apply) is exactly
 that of :func:`repro.mvindex.intersect.mv_intersect`; only the constant
 factors differ, which is what Fig. 9 measures.
+
+Everything before the traversal — compiling the query OBDD, finding the
+touched components, chaining them, keying the probabilities they need — is
+:func:`prepare_intersect`, which both kernels call; the two modules differ
+only in the loop that walks the result.
 """
 
 from __future__ import annotations
@@ -21,9 +26,140 @@ from typing import Mapping
 from repro.lineage.dnf import DNF
 from repro.mvindex.augmented import AugmentedObdd
 from repro.mvindex.index import MVIndex
-from repro.mvindex.intersect import IntersectStatistics, compile_query_obdd
-from repro.mvindex.summaries import SkipAnalysis
+from repro.obdd.construct import build_obdd
 from repro.obdd.manager import ONE, ZERO, ObddManager
+from repro.obdd.order import VariableOrder
+
+
+@dataclass
+class IntersectStatistics:
+    """Work counters reported by an intersection run (used by benchmarks)."""
+
+    touched_components: int = 0
+    untouched_components: int = 0
+    pair_expansions: int = 0
+    #: Nodes of the query OBDD compiled for the traversal (also filled by the
+    #: from-scratch ``obdd`` method with the size of its ``Q ∨ W`` OBDD).
+    query_obdd_nodes: int = 0
+
+
+def compile_query_obdd(
+    index: MVIndex,
+    query_lineage: DNF,
+    probabilities: Mapping[int, float],
+) -> tuple[AugmentedObdd, VariableOrder]:
+    """Compile the query lineage under the index order (free variables appended).
+
+    The common case — every lineage variable already indexed — uses
+    ``index.order`` itself; an extended copy would assign every variable
+    the same level.
+    """
+    variables = query_lineage.variables()
+    if all(variable in index.order for variable in variables):
+        order = index.order
+    else:
+        order = index.order.extend(sorted(variables))
+    # The annotation only keys levels of the compiled OBDD, i.e. the
+    # lineage's own variables, so only those are merged (``probabilities``
+    # overrides the index's own map).
+    merged_probabilities = {}
+    for variable in variables:
+        value = probabilities.get(variable)
+        if value is None:
+            value = index.probabilities.get(variable)
+        if value is not None:
+            merged_probabilities[variable] = value
+    manager = ObddManager()
+    compiled = build_obdd(query_lineage, order, manager=manager, method="concat")
+    augmented = AugmentedObdd(manager, compiled.root, order, merged_probabilities)
+    return augmented, order
+
+
+@dataclass
+class PreparedIntersect:
+    """What a traversal loop starts from (see :func:`prepare_intersect`)."""
+
+    query: AugmentedObdd
+    #: The touched ``¬W_k`` in level order.  ``∧_k ¬W_k`` is never
+    #: materialised: reaching the 1-terminal of one link advances the
+    #: traversal to the next link's root.  Components whose level ranges
+    #: interleave cannot be chained that way and arrive as one link, their
+    #: explicit conjunction.
+    chain: list[AugmentedObdd]
+    #: ``suffix[i] = Π_{j ≥ i} P0(chain[j])``.
+    suffix: list[float]
+    #: Probability by level, for the levels the query OBDD and the chain use.
+    probability_of_level: dict[int, float]
+    #: ``Π P0(¬W_k)`` over the untouched components (1.0 when left out).
+    untouched: float
+
+
+def prepare_intersect(
+    index: MVIndex,
+    query_lineage: DNF,
+    probabilities: Mapping[int, float],
+    statistics: IntersectStatistics,
+    include_untouched: bool,
+) -> "float | PreparedIntersect":
+    """Everything :func:`cc_mv_intersect` and ``mv_intersect`` do before looping.
+
+    Returns the answer itself when no traversal is needed (a constant
+    lineage, or one that touches no component).  ``statistics`` is filled
+    whenever a query OBDD was compiled.
+    """
+    if query_lineage.is_false:
+        return 0.0
+    if query_lineage.is_true:
+        return index.probability_not_w() if include_untouched else 1.0
+
+    query, order = compile_query_obdd(index, query_lineage, probabilities)
+    variables = query_lineage.variables()
+    touched = index.touched_components(variables)
+    statistics.touched_components = len(touched)
+    statistics.untouched_components = index.component_count() - len(touched)
+    statistics.query_obdd_nodes = max(0, len(query.prob_under) - 2)
+    untouched = (
+        index.untouched_factor({component.key for component in touched})
+        if include_untouched
+        else 1.0
+    )
+    if not touched:
+        return query.probability * untouched
+
+    # The traversal only probes levels of nodes in the query OBDD and the
+    # touched components, so only their variables are keyed — not every
+    # probabilistic variable of the database, per answer.
+    needed = set(variables)
+    for component in touched:
+        needed.update(component.variables)
+    probability_of_level = {}
+    for variable in needed:
+        value = probabilities.get(variable)
+        if value is None:
+            value = index.probabilities.get(variable, 0.0)
+        probability_of_level[order.level_of(variable)] = value
+
+    ordered = sorted(touched, key=lambda component: component.min_level)
+    if any(
+        current.min_level <= previous.max_level
+        for previous, current in zip(ordered, ordered[1:])
+    ):
+        chain = [
+            AugmentedObdd(
+                index.manager,
+                index.conjoined_not_w_root(ordered),
+                order,
+                index.probabilities,
+                probability_of_level=probability_of_level,
+            )
+        ]
+    else:
+        chain = [component.obdd for component in ordered]
+    suffix = [1.0] * (len(chain) + 1)
+    for position in range(len(chain) - 1, -1, -1):
+        suffix[position] = chain[position].probability * suffix[position + 1]
+    return PreparedIntersect(query, chain, suffix, probability_of_level, untouched)
+
 
 #: Flat-array encoding of the two terminals.
 _FLAT_ZERO = 0
@@ -79,12 +215,12 @@ class FlatObdd:
         return len(self.levels)
 
 
-def _flat_component(component) -> FlatObdd:
-    """The cached flat encoding of one index component (built on first use)."""
-    cached = getattr(component, "_flat", None)
+def _flat(augmented: AugmentedObdd) -> FlatObdd:
+    """The cached flat encoding of one chain link (built on first use)."""
+    cached = getattr(augmented, "_flat", None)
     if cached is None:
-        cached = FlatObdd.from_augmented(component.obdd)
-        component._flat = cached
+        cached = FlatObdd.from_augmented(augmented)
+        augmented._flat = cached
     return cached
 
 
@@ -97,7 +233,7 @@ def prewarm_flat_encodings(index: MVIndex) -> None:
     this once up front (see :meth:`repro.serving.session.QuerySession.warm`).
     """
     for component in index.components.values():
-        _flat_component(component)
+        _flat(component.obdd)
 
 
 def cc_mv_intersect(
@@ -106,94 +242,26 @@ def cc_mv_intersect(
     probabilities: Mapping[int, float] | None = None,
     statistics: IntersectStatistics | None = None,
     include_untouched: bool = True,
-    skip: SkipAnalysis | None = None,
 ) -> float:
     """``P0(Q ∧ ¬W)`` by the cache-conscious flat-array traversal.
 
     With ``include_untouched=False`` the product over components the query
     does not touch is left out — the caller divides by the touched-only
     ``P0(¬W_k)`` product instead, which keeps the Theorem 1 ratio finite on
-    indexes with thousands of components (see :meth:`MVIndex.touched_factor`).
-    ``skip`` threads a pre-computed
-    :class:`~repro.mvindex.summaries.SkipAnalysis` through, enabling the
-    index-order reuse fast path of :func:`compile_query_obdd`.
+    indexes with thousands of components (see
+    :meth:`MVIndex.touched_factor_of`).
     """
-    probabilities = probabilities or {}
     stats = statistics if statistics is not None else IntersectStatistics()
-
-    if query_lineage.is_false:
-        return 0.0
-    if query_lineage.is_true:
-        return index.probability_not_w() if include_untouched else 1.0
-
-    query, order = compile_query_obdd(index, query_lineage, probabilities, skip=skip)
-    touched = index.touched_components(query_lineage.variables())
-    touched_keys = {component.key for component in touched}
-    stats.touched_components = len(touched)
-    stats.untouched_components = index.component_count() - len(touched)
-    stats.query_obdd_nodes = max(0, len(query.prob_under) - 2)
-    if skip is not None:
-        stats.skipped_components = skip.skipped_count
-    untouched = index.untouched_factor(touched_keys) if include_untouched else 1.0
-    if not touched:
-        return query.probability * untouched
-
-    ordered = sorted(touched, key=lambda c: c.min_level)
-    interleaved = any(
-        current.min_level <= previous.max_level
-        for previous, current in zip(ordered, ordered[1:])
+    prepared = prepare_intersect(
+        index, query_lineage, probabilities or {}, stats, include_untouched
     )
-    if interleaved:
-        # Rare case (components overlap in the variable order): delegate to the
-        # pointer-based algorithm, which has a synthesised fallback.
-        from repro.mvindex.intersect import mv_intersect
-
-        return mv_intersect(
-            index,
-            query_lineage,
-            probabilities,
-            statistics=stats,
-            include_untouched=include_untouched,
-            skip=skip,
-        )
-
-    flat_query = FlatObdd.from_manager(query.manager, query.root, query.prob_under)
-    chain = [_flat_component(component) for component in ordered]
-    suffix = [1.0] * (len(ordered) + 1)
-    for position in range(len(ordered) - 1, -1, -1):
-        suffix[position] = ordered[position].probability_not_w * suffix[position + 1]
-
-    if skip is not None:
-        # The traversal only probes levels of nodes in the query OBDD and
-        # the touched chain, i.e. levels of the query lineage's and the
-        # touched components' variables — fill just those slots instead of
-        # scanning every probabilistic variable per answer.  Each filled
-        # slot holds exactly the value the full scan would store (same
-        # override precedence), so the traversal arithmetic is
-        # bit-identical.
-        needed = set(query_lineage.variables())
-        for component in ordered:
-            needed.update(component.variables)
-        needed_levels = [order.level_of(v) for v in needed if v in order]
-        max_level = max(needed_levels, default=-1)
-        probability_of_level = [0.0] * (max_level + 2)
-        for variable in needed:
-            if variable not in order:
-                continue
-            value = probabilities.get(variable)
-            if value is None:
-                value = index.probabilities.get(variable, 0.0)
-            probability_of_level[order.level_of(variable)] = value
-    else:
-        merged_probabilities = dict(index.probabilities)
-        merged_probabilities.update(probabilities)
-        max_level = max(
-            (order.level_of(v) for v in merged_probabilities if v in order), default=-1
-        )
-        probability_of_level = [0.0] * (max_level + 2)
-        for variable, value in merged_probabilities.items():
-            if variable in order:
-                probability_of_level[order.level_of(variable)] = value
+    if type(prepared) is float:
+        return prepared
+    flat_query = FlatObdd.from_augmented(prepared.query)
+    chain = [_flat(link) for link in prepared.chain]
+    suffix = prepared.suffix
+    probability_of_level = prepared.probability_of_level
+    untouched = prepared.untouched
 
     chain_count = len(chain)
     q_levels, q_lows, q_highs, q_under = (

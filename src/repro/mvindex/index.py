@@ -514,7 +514,7 @@ class MVIndex:
                 result *= component.probability_not_w
         return result
 
-    def touched_factor(self, touched_keys: set[int]) -> float:
+    def touched_factor_of(self, touched_keys: "set[int] | frozenset[int]") -> float:
         """Product of ``P0(¬W_k)`` over the components touched by a query.
 
         This is the denominator of the *conditional* Theorem 1 ratio: the
@@ -522,24 +522,9 @@ class MVIndex:
         so dividing the touched-only intersection by this product gives the
         same probability without ever forming the full ``P0(¬W)`` — which
         underflows to 0.0 once the index holds a few thousand components.
-        """
-        result = 1.0
-        for component in self._product_order():
-            if component.key in touched_keys:
-                result *= component.probability_not_w
-        return result
-
-    def touched_factor_of(self, touched_keys: "set[int] | frozenset[int]") -> float:
-        """:meth:`touched_factor` without the full-index scan.
-
-        Folds only the touched components, sorted by smallest contained
-        variable — the same *relative* order :meth:`_product_order` gives
-        them, so the float product is bit-identical to
-        :meth:`touched_factor` while the cost drops from O(N log N) over
-        all components to O(T log T) over the touched ones.  This is the
-        denominator path the skip layer takes once a
-        :class:`~repro.mvindex.summaries.SkipAnalysis` has proved the
-        touched set.
+        Only the touched components are folded, in the relative order
+        :meth:`_product_order` gives them, so the cost is O(T log T) and the
+        float product does not depend on how the index was built.
         """
         components = sorted(
             (self.components[key] for key in touched_keys),
@@ -551,27 +536,16 @@ class MVIndex:
         return result
 
     def conjoined_not_w_root(self, components: list[IndexedComponent]) -> int:
-        """OBDD root of ``∧_k ¬W_k`` over the given components.
+        """OBDD root of ``∧_k ¬W_k`` over components whose level ranges interleave.
 
-        Components with non-overlapping level ranges are chained by
-        concatenation (replace the 1-terminal of the earlier component by the
-        root of the next), which is linear; interleaving ranges are conjoined
-        with one multi-way apply instead of pairwise synthesis.
+        Such components cannot be chained by concatenation (the 1-terminal
+        of one replaced by the root of the next), so they are conjoined with
+        one multi-way apply — the only query-time write to the shared
+        manager, hence the lock.
         """
-        if not components:
-            return ONE
         with self._lock:
-            ordered = sorted(components, key=lambda c: c.min_level)
-            if all(
-                previous.max_level < current.min_level
-                for previous, current in zip(ordered, ordered[1:])
-            ):
-                root = ordered[-1].obdd.root
-                for component in reversed(ordered[:-1]):
-                    root = self.manager.substitute_terminal(component.obdd.root, ONE, root)
-                return root
             return self.manager.apply_and_multi(
-                component.obdd.root for component in ordered
+                component.obdd.root for component in components
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

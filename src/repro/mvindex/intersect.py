@@ -19,108 +19,27 @@ index OBDDs are evaluated without recursion.  The old implementation
 recursed to the depth of the OBDDs and had to raise (and guard, across
 threads) the process-global ``sys.setrecursionlimit``; the iterative kernel
 made all of that machinery obsolete.
+
+The set-up (query compile, touched chain, probability map) is
+:func:`repro.mvindex.cc_intersect.prepare_intersect`, shared with the
+cache-conscious kernel; this module is the pointer-based loop over it, kept
+because Fig. 9 compares the two loops and because a second kernel is an
+independent reference for the first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import InferenceError
 from repro.lineage.dnf import DNF
-from repro.mvindex.augmented import AugmentedObdd
-from repro.mvindex.index import IndexedComponent, MVIndex
-from repro.mvindex.summaries import SkipAnalysis
-from repro.obdd.construct import build_obdd
-from repro.obdd.manager import ONE, ZERO, ObddManager
-from repro.obdd.order import VariableOrder
-
-
-@dataclass
-class IntersectStatistics:
-    """Work counters reported by an intersection run (used by benchmarks)."""
-
-    touched_components: int = 0
-    untouched_components: int = 0
-    pair_expansions: int = 0
-    #: Nodes of the query OBDD compiled for the traversal (also filled by the
-    #: from-scratch ``obdd`` method with the size of its ``Q ∨ W`` OBDD).
-    query_obdd_nodes: int = 0
-    #: Components a :class:`~repro.mvindex.summaries.SkipAnalysis` pruned
-    #: before any lineage or OBDD work touched them (0 without skipping).
-    skipped_components: int = 0
-
-
-class _ChainView:
-    """A virtual concatenation of touched component OBDDs of ``¬W``.
-
-    Components are ordered by level range; the conjunction ``∧_k ¬W_k`` is
-    never materialised — reaching the 1-terminal of one component simply
-    advances the traversal to the next component's root.
-    """
-
-    def __init__(self, components: list[IndexedComponent]) -> None:
-        self.components = sorted(components, key=lambda c: c.min_level)
-        for previous, current in zip(self.components, self.components[1:]):
-            if current.min_level <= previous.max_level:
-                raise InferenceError(
-                    "touched MV-index components have interleaving level ranges; "
-                    "use the synthesised fallback"
-                )
-        # Suffix products of P0(¬W_k): suffix[i] = Π_{j ≥ i} P0(¬W_j).
-        self.suffix = [1.0] * (len(self.components) + 1)
-        for index in range(len(self.components) - 1, -1, -1):
-            self.suffix[index] = (
-                self.components[index].probability_not_w * self.suffix[index + 1]
-            )
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def obdd(self, index: int) -> AugmentedObdd:
-        return self.components[index].obdd
-
-
-def compile_query_obdd(
-    index: MVIndex,
-    query_lineage: DNF,
-    probabilities: Mapping[int, float],
-    skip: SkipAnalysis | None = None,
-) -> tuple[AugmentedObdd, VariableOrder]:
-    """Compile the query lineage under the index order (free variables appended).
-
-    With a ``skip`` analysis in hand the common case — every lineage
-    variable already indexed — reuses ``index.order`` directly instead of
-    copying it into an extended order.  The reused order assigns every
-    variable the same level the extended one would, so the compiled OBDD
-    and all downstream float products are bit-identical.
-    """
-    if skip is not None:
-        variables = query_lineage.variables()
-        if all(variable in index.order for variable in variables):
-            order = index.order
-        else:
-            order = index.order.extend(sorted(variables))
-        # The annotation only keys levels of the compiled OBDD, i.e. the
-        # lineage's own variables — merge just those instead of copying the
-        # full per-database probability dictionary for every answer.  Each
-        # entry is the exact value the full merge would hold (same override
-        # precedence), so the annotations are bit-identical.
-        merged_probabilities = {}
-        for variable in variables:
-            value = probabilities.get(variable)
-            if value is None:
-                value = index.probabilities.get(variable)
-            if value is not None:
-                merged_probabilities[variable] = value
-    else:
-        order = index.order.extend(sorted(query_lineage.variables()))
-        merged_probabilities = dict(index.probabilities)
-        merged_probabilities.update(probabilities)
-    manager = ObddManager()
-    compiled = build_obdd(query_lineage, order, manager=manager, method="concat")
-    augmented = AugmentedObdd(manager, compiled.root, order, merged_probabilities)
-    return augmented, order
+from repro.mvindex.cc_intersect import (
+    IntersectStatistics,
+    cc_mv_intersect,
+    prepare_intersect,
+)
+from repro.mvindex.index import MVIndex
+from repro.obdd.manager import ONE, ZERO
 
 
 def mv_intersect(
@@ -129,77 +48,28 @@ def mv_intersect(
     probabilities: Mapping[int, float] | None = None,
     statistics: IntersectStatistics | None = None,
     include_untouched: bool = True,
-    skip: SkipAnalysis | None = None,
 ) -> float:
     """``P0(Q ∧ ¬W)`` by the (pointer-based) MVIntersect algorithm.
 
     ``include_untouched=False`` omits the product over components the query
     does not touch (see :func:`repro.mvindex.cc_intersect.cc_mv_intersect`).
-    ``skip`` threads a pre-computed
-    :class:`~repro.mvindex.summaries.SkipAnalysis` through: it enables the
-    index-order reuse fast path of :func:`compile_query_obdd` and fills the
-    ``skipped_components`` work counter.
     """
-    probabilities = probabilities or {}
     stats = statistics if statistics is not None else IntersectStatistics()
-
-    if query_lineage.is_false:
-        return 0.0
-    if query_lineage.is_true:
-        return index.probability_not_w() if include_untouched else 1.0
-
-    query, order = compile_query_obdd(index, query_lineage, probabilities, skip=skip)
-    touched = index.touched_components(query_lineage.variables())
-    touched_keys = {component.key for component in touched}
-    stats.touched_components = len(touched)
-    stats.untouched_components = index.component_count() - len(touched)
-    stats.query_obdd_nodes = max(0, len(query.prob_under) - 2)
-    if skip is not None:
-        stats.skipped_components = skip.skipped_count
-    untouched = index.untouched_factor(touched_keys) if include_untouched else 1.0
-
-    if not touched:
-        return query.probability * untouched
-
-    try:
-        chain = _ChainView(touched)
-    except InferenceError:
-        # Touched components interleave in the variable order: conjoin them
-        # explicitly and fall back to a plain pairwise traversal.
-        return _synthesised_intersect(index, query, touched, probabilities) * untouched
+    prepared = prepare_intersect(
+        index, query_lineage, probabilities or {}, stats, include_untouched
+    )
+    if type(prepared) is float:
+        return prepared
+    query = prepared.query
+    suffix = prepared.suffix
+    probability_of_level = prepared.probability_of_level
+    untouched = prepared.untouched
     w_manager = index.manager
     q_manager = query.manager
-    if skip is not None:
-        # The traversal only probes levels of nodes in the query OBDD and
-        # the touched chain, and those nodes carry exactly the query
-        # lineage's and the touched components' variables — key just them
-        # instead of scanning every probabilistic variable per answer.
-        # Values match the full scan entry-for-entry (same precedence), so
-        # the Shannon products are bit-identical.
-        needed = set(query_lineage.variables())
-        for component in touched:
-            needed.update(component.variables)
-        probability_of_level = {}
-        for variable in needed:
-            if variable not in order:
-                continue
-            value = probabilities.get(variable)
-            if value is None:
-                value = index.probabilities.get(variable, 0.0)
-            probability_of_level[order.level_of(variable)] = value
-    else:
-        merged_probabilities = dict(index.probabilities)
-        merged_probabilities.update(probabilities)
-        probability_of_level = {
-            order.level_of(variable): value
-            for variable, value in merged_probabilities.items()
-            if variable in order
-        }
 
-    chain_count = len(chain)
-    chain_roots = [chain.obdd(position).root for position in range(chain_count)]
-    chain_under = [chain.obdd(position).prob_under for position in range(chain_count)]
-    suffix = chain.suffix
+    chain_count = len(prepared.chain)
+    chain_roots = [link.root for link in prepared.chain]
+    chain_under = [link.prob_under for link in prepared.chain]
     q_under = query.prob_under
 
     def resolve(q_node: int, chain_index: int, w_node: int):
@@ -274,94 +144,6 @@ def mv_intersect(
     return memo[initial] * untouched
 
 
-def _synthesised_intersect(
-    index: MVIndex,
-    query: AugmentedObdd,
-    touched: list[IndexedComponent],
-    probabilities: Mapping[int, float],
-) -> float:
-    """Fallback for interleaving components: conjoin ``¬W_k`` explicitly.
-
-    The conjunction of the touched components is materialised with one
-    multi-way apply (:meth:`repro.mvindex.index.MVIndex.conjoined_not_w_root`),
-    ``probUnder`` is computed for it, and the standard pairwise Shannon
-    traversal — iterative, like everything else — is run against the query
-    OBDD.
-    """
-    w_manager = index.manager
-    q_manager = query.manager
-    w_root = index.conjoined_not_w_root(touched)
-    merged_probabilities = dict(index.probabilities)
-    merged_probabilities.update(probabilities)
-    probability_of_level = {
-        query.order.level_of(variable): value
-        for variable, value in merged_probabilities.items()
-        if variable in query.order
-    }
-
-    prob_under = w_manager.prob_under_map(w_root, probability_of_level)
-    q_under = query.prob_under
-
-    def resolve(q_node: int, w_node: int):
-        if q_node == ZERO or w_node == ZERO:
-            return 0.0
-        if q_node == ONE:
-            return prob_under[w_node]
-        if w_node == ONE:
-            return q_under[q_node]
-        return (q_node, w_node)
-
-    memo: dict[tuple[int, int], float] = {}
-    memo_get = memo.get
-    initial = resolve(query.root, w_root)
-    if type(initial) is float:
-        return initial
-
-    stack: list[tuple[int, int]] = [initial]
-    while stack:
-        state = stack[-1]
-        if state in memo:
-            stack.pop()
-            continue
-        q_node, w_node = state
-        q_level = q_manager.level(q_node)
-        w_level = w_manager.level(w_node)
-        if q_level <= w_level:
-            level = q_level
-            q_low, q_high = q_manager.low(q_node), q_manager.high(q_node)
-        else:
-            level = w_level
-            q_low, q_high = q_node, q_node
-        if w_level <= q_level:
-            w_low, w_high = w_manager.low(w_node), w_manager.high(w_node)
-        else:
-            w_low, w_high = w_node, w_node
-        low_state = resolve(q_low, w_low)
-        high_state = resolve(q_high, w_high)
-        pending = False
-        if type(low_state) is not float:
-            low_value = memo_get(low_state)
-            if low_value is None:
-                stack.append(low_state)
-                pending = True
-            else:
-                low_state = low_value
-        if type(high_state) is not float:
-            high_value = memo_get(high_state)
-            if high_value is None:
-                stack.append(high_state)
-                pending = True
-            else:
-                high_state = high_value
-        if pending:
-            continue
-        probability = probability_of_level[level]
-        memo[state] = (1.0 - probability) * low_state + probability * high_state
-        stack.pop()
-
-    return memo[initial]
-
-
 def p0_q_or_w(
     index: MVIndex,
     query_lineage: DNF,
@@ -369,8 +151,6 @@ def p0_q_or_w(
     algorithm: str = "cc",
 ) -> float:
     """``P0(Q ∨ W) = P0(W) + P0(Q ∧ ¬W)`` using the chosen intersection algorithm."""
-    from repro.mvindex.cc_intersect import cc_mv_intersect
-
     if algorithm == "cc":
         conjunction = cc_mv_intersect(index, query_lineage, probabilities)
     elif algorithm == "mv":

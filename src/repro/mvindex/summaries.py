@@ -34,7 +34,10 @@ are ignored entirely (again a superset).  Hence the relevant set returned by
 :meth:`SummaryStore.analyze` is a superset of the touched set of every
 answer, which is exactly the premise under which the Theorem-1 cancellation
 makes restricting the denominator fold (and the per-answer component work)
-to the relevant set bit-identical to the unrestricted evaluation.
+to the relevant set bit-identical to the unrestricted evaluation.  The read
+path needs no such restriction — it already works on the touched components
+only — so today the analysis is reported (``QueryResult.skipped_components``,
+``/metrics``), not acted on.
 
 Everything in here is integers, frozensets and sorted lists — no floats —
 so the summaries are bit-stable across export/import and an O(delta)

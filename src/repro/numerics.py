@@ -27,8 +27,8 @@ budget as the legacy blocking extend).
 
 Absolute tolerances such as the old ``1e-9`` are the wrong shape for this:
 for probabilities near 1.0 they allow ~4.5 million ulps of drift, while for
-the huge MLN-style weights the benchmark gate compares (magnitude ~1e22,
-where one ulp is ~8e6) they demand more than bit-identity and only pass
+the huge MLN-style weights ``bench/measure.py``'s checks compare (magnitude
+~1e22, where one ulp is ~8e6) they demand more than bit-identity and only pass
 because the values happen to be exactly equal.  Comparing in ulps is
 scale-free: it bounds the number of *representable doubles* between the two
 values, which is the honest measure of "how different two deterministic
@@ -56,9 +56,10 @@ __all__ = [
 #: not noise.
 INCREMENTAL_REBUILD_ULPS = 2
 
-#: Tolerance of the benchmark gate's probability-drift check.  The gate
-#: recomputes every value from scratch with the deterministic kernel, so the
-#: budget is deliberately tight — a handful of ulps merely leaves room for a
+#: Tolerance of ``bench/measure.py``'s probability checks (every measured
+#: answer against ``bench/checks.py``'s independent path).  Both sides
+#: recompute from scratch with the deterministic kernel, so the budget is
+#: deliberately tight — a handful of ulps merely leaves room for a
 #: reassociated reduction, not for algorithmic drift.
 GATE_PROBABILITY_ULPS = 4
 

@@ -67,11 +67,11 @@ class QueryResult:
     steps: int = 0
     #: MV-index components touched across all answers (0 without an index).
     touched_components: int = 0
-    #: MV-index components the skip analysis proved irrelevant before any
-    #: OBDD work touched them (0 when skipping was off or not applicable).
+    #: MV-index components the summary analysis proved the query's atoms
+    #: cannot reach (0 when no analysis ran: no index, or a non-index method).
     skipped_components: int = 0
     #: Wall-clock milliseconds the summary matching itself took (micro-scale;
-    #: reported so the skip layer's overhead stays observable).
+    #: reported so the analysis' overhead stays observable).
     skip_analysis_ms: float = 0.0
 
     # ------------------------------------------------------------- inspection

@@ -47,12 +47,9 @@ from repro.obdd.order import VariableOrder
 
 #: Identifier written into (and required from) every artifact document.
 ARTIFACT_FORMAT = "repro-mv-index"
-#: Version of the artifact layout; bumped on incompatible changes.
-#: Version 2 added the per-component skip summaries; version-1 artifacts are
-#: still readable — their summaries are recomputed from the index on load.
+#: Version of the artifact layout; bumped on incompatible changes.  The
+#: library restores exactly the version it writes.
 ARTIFACT_VERSION = 2
-#: Artifact layout versions this library can restore.
-SUPPORTED_ARTIFACT_VERSIONS = frozenset({1, 2})
 
 
 def engine_state(engine: MVQueryEngine) -> dict[str, Any]:
@@ -104,11 +101,10 @@ def engine_from_state(state: Mapping[str, Any]) -> MVQueryEngine:
             f"not an MV-index artifact: format {state.get('format')!r} "
             f"(expected {ARTIFACT_FORMAT!r})"
         )
-    if state.get("version") not in SUPPORTED_ARTIFACT_VERSIONS:
+    if state.get("version") != ARTIFACT_VERSION:
         raise ArtifactError(
             f"unsupported artifact version {state.get('version')!r} "
-            f"(this library reads versions "
-            f"{sorted(SUPPORTED_ARTIFACT_VERSIONS)})"
+            f"(this library reads version {ARTIFACT_VERSION})"
         )
     try:
         return _restore_engine(state)
@@ -154,10 +150,8 @@ def _restore_engine(state: Mapping[str, Any]) -> MVQueryEngine:
             construction=state.get("construction", "concat"),
         )
     summaries = None
-    if mv_index is not None and state.get("summaries") is not None:
+    if mv_index is not None and state["summaries"] is not None:
         summaries = SummaryStore.from_state(state["summaries"])
-    # Version-1 artifacts carry no summaries; from_parts recomputes them from
-    # the restored index, so upgraded processes still skip.
     return MVQueryEngine.from_parts(
         indb,
         w_lineage,

@@ -30,11 +30,12 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, Sequence
+from typing import Any, Hashable, Sequence
 
 from repro.core.engine import MVQueryEngine
 from repro.errors import InferenceError
 from repro.lineage.dnf import DNF
+from repro.methods import InferenceMethod, MvIndexMethod, MvIndexPointerMethod
 from repro.mvindex.cc_intersect import prewarm_flat_encodings
 from repro.mvindex.intersect import IntersectStatistics
 from repro.mvindex.summaries import SkipAnalysis
@@ -44,9 +45,6 @@ from repro.query.evaluator import evaluate_cq
 from repro.query.ucq import UCQ, as_ucq
 from repro.results import Answer, QueryResult
 from repro.serving.canonical import canonical_cq_key, canonical_key
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.methods import InferenceMethod
 
 #: Default capacity of the result and lineage LRU caches.
 DEFAULT_CACHE_SIZE = 256
@@ -447,20 +445,21 @@ class QuerySession:
     def _skip_for(
         self, ucqs: "list[UCQ]", method: "InferenceMethod"
     ) -> "SkipAnalysis | None":
-        """One skip analysis for ``ucqs`` (None when not applicable).
+        """One summary analysis for ``ucqs`` (None when not applicable).
 
-        Skipping applies only when the method opts in and the engine carries
-        summaries; statistics are updated under the session lock.
+        Observability only: how much of the index the queries' atoms rule
+        out.  It runs when the method reads the MV-index and the engine
+        carries summaries; the answers do not depend on it.  Statistics are
+        updated under the session lock.
         """
-        if not method.supports_skip:
+        if not isinstance(method, (MvIndexMethod, MvIndexPointerMethod)):
             return None
         skip = self.engine.skip_analysis(ucqs)
-        if skip is None:
-            return None
-        with self._lock:
-            self.statistics.skip_analyses += 1
-            self.statistics.skipped_components += skip.skipped_count
-            self.statistics.relevant_components += skip.relevant_count
+        if skip:
+            with self._lock:
+                self.statistics.skip_analyses += 1
+                self.statistics.skipped_components += skip.skipped_count
+                self.statistics.relevant_components += skip.relevant_count
         return skip
 
     def _typed_probabilities(
@@ -475,10 +474,7 @@ class QuerySession:
         obdd_nodes = steps = touched = 0
         for values, lineage in lineages.items():
             statistics = IntersectStatistics()
-            if skip is not None:
-                probability = method.probability(engine, lineage, statistics, skip=skip)
-            else:
-                probability = method.probability(engine, lineage, statistics)
+            probability = method.probability(engine, lineage, statistics)
             answers.append(
                 Answer(
                     values=values,
@@ -494,8 +490,8 @@ class QuerySession:
             obdd_nodes=obdd_nodes,
             steps=steps,
             touched_components=touched,
-            skipped_components=0 if skip is None else skip.skipped_count,
-            skip_analysis_ms=0.0 if skip is None else skip.elapsed_ms,
+            skipped_components=skip.skipped_count if skip else 0,
+            skip_analysis_ms=skip.elapsed_ms if skip else 0.0,
         )
 
     def _typed_result(

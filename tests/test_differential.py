@@ -25,6 +25,7 @@ import struct
 import pytest
 
 from repro.db import SqliteBackend
+from repro.db.sqlite_backend import BUSY_TIMEOUT_MS
 from repro.indb import TupleIndependentDatabase, probability_to_weight
 from repro.query import answer_probabilities, evaluate_ucq, parse_query
 
@@ -217,6 +218,19 @@ class TestDifferentialBackends:
         # A tiny build budget forces the hash join into its grace-partitioned
         # spill path on every atom; answers must still be bit-identical.
         assert run_differential_case(seed, build_budget=2) == QUERIES_PER_INSTANCE
+
+
+class TestSqlitePragmas:
+    @pytest.mark.parametrize("location", [":memory:", "file"])
+    def test_busy_timeout_is_set(self, location, tmp_path):
+        # A second connection to a locked file waits this long for the
+        # writer instead of failing with "database is locked".
+        backend = SqliteBackend(tmp_path / "db.sqlite" if location == "file" else location)
+        try:
+            (timeout,) = backend.connection.execute("PRAGMA busy_timeout").fetchone()
+            assert timeout == BUSY_TIMEOUT_MS
+        finally:
+            backend.close()
 
 
 class TestWorkloadIsNonTrivial:

@@ -176,6 +176,22 @@ class TestIntersection:
         assert statistics.touched_components == 1
         assert statistics.untouched_components == index.component_count() - 1
 
+    @pytest.mark.parametrize("kernel", [mv_intersect, cc_mv_intersect])
+    def test_interleaving_components_walk_their_conjunction(self, kernel):
+        # {0, 2} spans levels 0-2 and {1, 3} levels 1-3 under natural_order,
+        # so the touched components cannot be chained by concatenation: both
+        # kernels run their own loop over the one-link chain ¬W_0 ∧ ¬W_1.
+        w = DNF([[0, 2], [1, 3]])
+        probabilities = {0: 0.5, 1: 0.4, 2: 0.3, 3: 0.7, 4: 0.2}
+        index = MVIndex(w, {v: probabilities[v] for v in range(4)}, natural_order(range(4)))
+        assert index.component_count() == 2
+        q = DNF([[0, 1], [2, 3], [3, 4]])
+        statistics = IntersectStatistics()
+        actual = kernel(index, q, probabilities, statistics=statistics)
+        assert actual == pytest.approx(_conjunction_probability(q, w, probabilities))
+        assert statistics.touched_components == 2
+        assert statistics.pair_expansions > 0
+
     def test_flat_obdd_roundtrip(self):
         formula = DNF([[0, 1], [2]])
         order = natural_order([0, 1, 2])

@@ -30,6 +30,7 @@ from repro.errors import ArtifactError, InferenceError
 from repro.obdd.manager import ObddManager
 from repro.query import parse_query
 from repro.serving.artifact import (
+    ARTIFACT_VERSION,
     engine_from_state,
     engine_state,
     load_engine,
@@ -204,7 +205,7 @@ class TestArtifactRoundTrip:
 
     def test_wrong_format_raises(self, tmp_path):
         path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"format": "something-else", "version": 1}))
+        path.write_text(json.dumps({"format": "something-else", "version": ARTIFACT_VERSION}))
         with pytest.raises(ArtifactError, match="not an MV-index artifact"):
             load_engine(path)
 
@@ -225,7 +226,7 @@ class TestArtifactRoundTrip:
     def test_structurally_corrupt_state_raises(self, engine, tmp_path):
         # Parseable JSON with the right format/version but missing structure.
         path = tmp_path / "hollow.json"
-        path.write_text(json.dumps({"format": "repro-mv-index", "version": 1}))
+        path.write_text(json.dumps({"format": "repro-mv-index", "version": ARTIFACT_VERSION}))
         with pytest.raises(ArtifactError, match="corrupt MV-index artifact"):
             load_engine(path)
         # ...and with an out-of-range OBDD root id.
