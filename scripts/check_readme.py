@@ -12,7 +12,9 @@ Also render-checks the docstring surface: ``python -m pydoc`` must be able
 to render every module listed in ``PYDOC_MODULES`` without error.  And every
 symbol reference of the form `` `src/….py` (`symbol`) `` must name a ``def``
 or ``class`` that file contains (dotted names: every part), so a rename or
-a move cannot leave the docs pointing at nothing.
+a move cannot leave the docs pointing at nothing.  And the endpoint table
+of ``docs/serving.md`` (its `` | `/path` | VERB | `` rows) must list
+exactly the (path, verb) pairs of ``repro.serving.server.ROUTES``.
 
 Usage::
 
@@ -56,8 +58,12 @@ PYDOC_MODULES = [
     "repro.core.engine",
 ]
 
+#: The markdown file whose endpoint table is checked against the server's routes.
+ENDPOINT_DOC = REPO_ROOT / "docs" / "serving.md"
+
 _BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _SYMBOL_RE = re.compile(r"`(src/[\w/]+\.py)`\s+\(`([\w.]+)`")
+_ENDPOINT_RE = re.compile(r"^\| `(/[^`]*)` \| ([A-Z]+) \|", re.MULTILINE)
 
 
 def python_blocks(markdown: str) -> list[str]:
@@ -121,6 +127,23 @@ def check_symbols(path: Path, markdown: str) -> bool:
     return ok
 
 
+def check_endpoints(path: Path, markdown: str) -> bool:
+    """The documented (path, verb) rows are exactly the server's route table."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.serving.server import ROUTES
+
+    routed = {(route, verb) for verb, routes in ROUTES.items() for route in routes}
+    documented = set(_ENDPOINT_RE.findall(markdown))
+    for route, verb in sorted(routed - documented):
+        print(f"FAIL {path}: the endpoint table lacks `{route}` {verb}")
+    for route, verb in sorted(documented - routed):
+        print(f"FAIL {path}: the endpoint table lists `{route}` {verb}, which server.py lacks")
+    if routed != documented:
+        return False
+    print(f"ok   {path}: {len(routed)} endpoints match server.py")
+    return True
+
+
 def main(argv: list[str]) -> int:
     files = [Path(name) for name in argv] or [REPO_ROOT / name for name in DEFAULT_FILES]
     env = dict(os.environ)
@@ -130,6 +153,8 @@ def main(argv: list[str]) -> int:
     for path in files:
         markdown = path.read_text(encoding="utf-8")
         ok = check_symbols(path, markdown) and ok
+        if path.resolve() == ENDPOINT_DOC:
+            ok = check_endpoints(path, markdown) and ok
         blocks = python_blocks(markdown)
         if not blocks:
             print(f"warn {path}: no python blocks found")

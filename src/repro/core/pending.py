@@ -105,7 +105,7 @@ class PendingExtend:
         ``component_variables`` of the index delta covers every removed
         component's variables too.
         """
-        from repro.mvindex.summaries import bitmap_to_hex, variables_bitmap
+        from repro.mvindex.summaries import variables_bitmap
 
         relations: set[str] = set(self.deterministic_facts)
         relations.update(table["name"] for table in self.new_tables)
@@ -121,10 +121,10 @@ class PendingExtend:
             "base_epoch": self.base_epoch,
             "relations": sorted(relations),
             "component_variables": sorted(component_variables),
-            # The same variable set as a summary-layer bitmap (hex), so the
-            # subscription evaluator intersects it against each standing
+            # The same variable set as a summary-layer bitmap (an int), so
+            # the subscription evaluator intersects it against each standing
             # query's variable bitmap with one integer AND per subscription.
-            "component_bitmap": bitmap_to_hex(variables_bitmap(component_variables)),
+            "component_bitmap": variables_bitmap(component_variables),
             "removed_keys": removed_keys,
             "added_clauses": len(self.added_clauses),
             "added_tuples": self.added_tuple_count,

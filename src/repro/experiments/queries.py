@@ -298,7 +298,7 @@ def serving_cold_warm(
     """Cold-versus-warm batch serving on the full dataset.
 
     Runs the Figs. 10/11 query mix twice through
-    :meth:`~repro.serving.session.QuerySession.query_batch`: the first round
+    :meth:`~repro.serving.session.QuerySession.execute_batch`: the first round
     pays one shared relational evaluation pass plus the MV-index
     intersections, the second is answered entirely from the result cache.
     Also measures the artifact round trip (save + cold start from disk) the

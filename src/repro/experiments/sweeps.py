@@ -135,7 +135,7 @@ def _comparison(settings: SweepSettings, query_builder, name: str, description: 
         # latency a long-lived serving process pays for repeated traffic.
         session = QuerySession(engine)
         indexed = session.execute(query, method="mvindex")
-        warm_time, __ = time_call(lambda: session.query(query, method="mvindex"))
+        warm_time, __ = time_call(lambda: session.execute(query, method="mvindex"))
         # The figure's shape in exact work counts, free of the clock: nodes of
         # the from-scratch OBDD of Q ∨ W grow with the database, the index's
         # online expansions do not.

@@ -882,26 +882,17 @@ class Dispatcher:
                 listener(descriptor)
         return added, generation
 
-    def extend(self, mvdb: MVDB) -> tuple[list[int], int]:
+    def extend(self, mvdb: MVDB) -> tuple[list[int], int, dict[str, Any]]:
         """Extend the engine's view set without stalling readers.
 
         The compile half (:meth:`MVQueryEngine.prepare_extend`) runs under
         the single-writer mutex but *outside* the read/write lock — queries
         keep flowing while the delta OBDD is built against a snapshot.
         Publication then goes through :meth:`_publish`.  Returns ``(added
-        component keys, new generation)``.
-        """
-        with self._write_mutex:
-            pending = self.engine.prepare_extend(mvdb)
-            return self._publish(pending)
-
-    def extend_sealed(self, mvdb: MVDB) -> tuple[list[int], int, dict[str, Any]]:
-        """Like :meth:`extend`, but also returns the sealed delta artifact.
-
-        The artifact is captured *before* publication, so it describes
-        exactly the patch that was applied — the router ships it to
-        follower replicas, which import it via :meth:`apply_sealed` instead
-        of recompiling (compile once, N byte-identical replicas).
+        component keys, new generation, sealed artifact)``; the artifact is
+        captured *before* publication, so it describes exactly the patch
+        that was applied — the router ships it to follower replicas, which
+        import it via :meth:`apply_sealed` instead of recompiling.
         """
         with self._write_mutex:
             pending = self.engine.prepare_extend(mvdb)

@@ -21,20 +21,22 @@ Responsibilities:
   on a fixed interval, and the router can :meth:`note_failure` a replica to
   trigger an immediate re-probe; a replica whose process died, or that fails
   two consecutive probes, is killed and restarted with a fresh fork;
-* **mutation replay** — every accepted mutation (``/v1/extend``,
-  ``/v1/append``) is appended to a replay log (:meth:`record_extend`) as
-  ``{"kind", "spec"/"facts", "artifact"}``, where ``artifact`` is the
-  leader-compiled sealed delta.  A restarted replica forks from the
-  parent's *original* engine and replays the log before serving by
-  **importing** each sealed artifact
-  (:meth:`~repro.serving.dispatch.Dispatcher.apply_sealed`) — no
-  recompilation, and the restarted replica is byte-identical to its
-  peers.  Subscription ops (``subscribe``/``unsubscribe``) are
-  interleaved in the same log, so a restarted replica also re-arms every
-  standing query in the original order and regenerates the identical
-  notification stream.  The monitor restarts any replica whose applied log
-  length falls behind — a replica can never serve a stale view set for
-  longer than one health interval.
+* **the op log** — every replicated op the router accepts is appended to
+  one ordered log (:meth:`record_extend`): mutations (``/v1/extend``,
+  ``/v1/append``) as ``{"kind", "artifact"[, "spec"]}``, where
+  ``artifact`` is the leader-compiled sealed delta, and subscription ops
+  as ``{"kind": "subscribe", "subscription"}`` /
+  ``{"kind": "unsubscribe", "id"}``.  Every replica applies an entry with
+  :func:`replay_entry`, whether it arrives live (the router POSTs it to
+  the follower's ``/v1/import``) or from the log a restarted replica
+  replays before serving.  A mutation is **imported**
+  (:meth:`~repro.serving.dispatch.Dispatcher.apply_sealed`), never
+  recompiled, so replicas stay byte-identical; a subscription op re-arms
+  the standing query at the same point of the order, so every replica
+  regenerates the identical notification stream.  Once the router has
+  finished broadcasting an entry (:meth:`finish_broadcast`), the monitor
+  re-forks any replica that has not applied it — a replica can never
+  serve a stale view set for longer than one health interval.
 
 The fleet requires the ``fork`` start method (POSIX); on platforms without
 it, construction raises :class:`~repro.errors.ServingError` — use a single
@@ -75,7 +77,7 @@ def replay_entry(
     extender: Callable[[dict[str, Any]], MVDB] | None,
     entry: dict[str, Any],
 ) -> None:
-    """Replay one mutation-log entry into a dispatcher.
+    """Apply one op-log entry to a dispatcher: the one way any replica applies an op.
 
     Mutation entries carry the leader's sealed compiled delta and are
     imported as-is (byte-identical replicas, no recompile); an ``extend``
@@ -84,10 +86,12 @@ def replay_entry(
 
     The log also interleaves subscription ops (``{"kind": "subscribe",
     "subscription": spec}`` / ``{"kind": "unsubscribe", "id": ...}``) in
-    the exact order the router accepted them; replaying them through the
-    dispatcher's attached subscription service makes a restarted replica
-    regenerate the same notification stream (same seq numbers, same
-    payloads) its peers hold.
+    the exact order the router accepted them; applying them through the
+    dispatcher's attached subscription service gives every replica the
+    same notification stream (same seq numbers, same payloads).
+
+    Entries also arrive over HTTP (a follower's ``/v1/import``), so a
+    malformed one raises :class:`~repro.errors.ServingError`.
     """
     if entry.get("kind") in ("subscribe", "unsubscribe"):
         service = getattr(dispatcher, "subscription_service", None)
@@ -99,7 +103,7 @@ def replay_entry(
         service.apply_log_entry(entry)
         return
     artifact = entry.get("artifact")
-    if artifact is None:
+    if not isinstance(artifact, dict):
         raise ServingError("mutation log entry carries no sealed artifact")
     mvdb = None
     if artifact.get("kind") == "extend" and artifact.get("new_view_names"):
@@ -107,7 +111,10 @@ def replay_entry(
             raise ServingError(
                 "mutation log holds an extend artifact but no extender was configured"
             )
-        mvdb = extender(dict(entry["spec"]))
+        spec = entry.get("spec")
+        if not isinstance(spec, dict):
+            raise ServingError("an extend entry that attaches views needs its 'spec'")
+        mvdb = extender(dict(spec))
     dispatcher.apply_sealed(artifact, mvdb=mvdb)
 
 
@@ -225,6 +232,9 @@ class ReplicaFleet:
         self.on_death = on_death
         self._slots = [_Slot(slot_id) for slot_id in range(replicas)]
         self._extend_log: list[dict[str, Any]] = []
+        #: Length of the log prefix whose broadcast has finished: an entry
+        #: past it may still be on its way to a follower.
+        self._broadcast_len = 0
         self._lock = threading.RLock()
         self._poke = threading.Event()
         self._stopping = threading.Event()
@@ -341,15 +351,25 @@ class ReplicaFleet:
             slot.process = None
 
     # ------------------------------------------------------------ extend log
-    def record_extend(self, spec: dict[str, Any]) -> int:
-        """Append one accepted mutation entry to the replay log; returns its length.
+    def record_extend(self, entry: dict[str, Any]) -> int:
+        """Append one accepted op to the log; returns the log's new length.
 
-        Entries are ``{"kind", "spec"/"facts", "artifact"}`` documents or
-        subscription ops (see :func:`replay_entry`).
+        The router then broadcasts the entry and calls
+        :meth:`finish_broadcast` with the returned length.
         """
         with self._lock:
-            self._extend_log.append(json.loads(json.dumps(spec)))  # defensive copy
+            self._extend_log.append(json.loads(json.dumps(entry)))  # defensive copy
             return len(self._extend_log)
+
+    def finish_broadcast(self, log_len: int) -> None:
+        """Router callback: the broadcast of the first ``log_len`` entries is over.
+
+        Only from now on does the monitor treat a replica that has not
+        applied them as behind; re-forking it mid-broadcast would kill a
+        healthy follower the router is about to deliver the entry to.
+        """
+        with self._lock:
+            self._broadcast_len = max(self._broadcast_len, log_len)
 
     @property
     def extend_log_len(self) -> int:
@@ -407,11 +427,11 @@ class ReplicaFleet:
             self._restart(slot)
             return
         if slot.alive and not slot.suspect:
-            # Consistency check: a replica forked before the latest extend
-            # was recorded, and skipped by the broadcast because it was mid
+            # Consistency check: a replica forked before the latest op was
+            # recorded, and skipped by the broadcast because it was mid
             # launch, is behind the log — re-fork it (the replay catches up).
             with self._lock:
-                behind = slot.applied_len < len(self._extend_log)
+                behind = slot.applied_len < self._broadcast_len
             if behind:
                 self._restart(slot)
                 return

@@ -23,20 +23,26 @@ relayed as-is — a full admission queue is backpressure, not a routing
 failure.  Every transport failure is reported to the fleet's health
 monitor, which restarts replicas that stay unresponsive.
 
-**Mutations.**  ``POST /v1/extend`` and ``POST /v1/append`` are serialized
-by a router-level lock and broadcast *compile-once-ship-artifact*: the
-first alive replica (the leader) validates and applies the mutation with
-``"ship_artifact": true``, returning the sealed compiled delta (a rejected
-body is relayed verbatim and touches nothing else).  The artifact is
-appended to the fleet's replay log, then every other alive replica
-*imports* it through ``POST /v1/import`` — no recompilation, so all
-replicas hold byte-identical state.  A replica that fails or rejects the
-import (stale epoch) is force-restarted and converges by replaying the
-log; the generation counter inside each replica advances in lock-step, and
-the cluster ``/v1/stats`` exposes both ``generation`` (the floor every
-replica reached) and ``generation_max`` (the frontier).  The artifact is
-stripped from the response the client sees; ``/v1/import`` itself is
-replica-internal and answers 404 at the router.
+**Replicated ops.**  ``POST /v1/extend``, ``/v1/append``,
+``/v1/subscribe`` and ``/v1/unsubscribe`` go through one broadcast,
+serialized by a router-level lock so they form one total order.  The
+first alive replica (the leader) validates and applies the op — a
+mutation with ``"ship_artifact": true``, so it answers with the sealed
+compiled delta — and a rejected body is relayed verbatim and touches
+nothing else.  The router builds the op-log entry from the spec and the
+leader's answer (the artifact, or the leader-assigned subscription id),
+appends it to the fleet's log, and POSTs the entry to every other alive
+replica's ``/v1/import``, which applies it with
+:func:`~repro.serving.fleet.replay_entry` — the same call a restarted
+replica replays the log with.  Mutations are imported, never
+recompiled, so all replicas hold byte-identical state.  A replica that
+fails or rejects the entry (stale epoch) is force-restarted and
+converges by replaying the log; the generation counter inside each
+replica advances in lock-step, and the cluster ``/v1/stats`` exposes both
+``generation`` (the floor every replica reached) and ``generation_max``
+(the frontier).  The artifact is stripped from the response the client
+sees; ``/v1/import`` itself is replica-internal and answers 404 at the
+router.
 
 **Roll-up.**  ``GET /v1/stats`` and ``/metrics`` fan out to all alive
 replicas and merge their documents with
@@ -57,20 +63,24 @@ import json
 import socket
 import socketserver
 import threading
-import time
 import zlib
 from bisect import bisect_right
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from http.client import responses as _REASONS
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.errors import ServingError
 from repro.query.parser import parse_query
 from repro.serving.canonical import canonical_key
 from repro.serving.dispatch import merge_stats, render_metrics
 from repro.serving.fleet import ReplicaFleet
-from repro.serving.server import MAX_BODY_BYTES
+from repro.serving.server import (
+    MAX_BODY_BYTES,
+    ROUTES,
+    ActiveRequests,
+    error_body,
+    misrouted,
+)
 
 #: Virtual nodes per replica on the hash ring (evens out the key split).
 DEFAULT_VNODES = 64
@@ -81,16 +91,12 @@ _POOL_SIZE = 16
 #: Seconds the router waits for a replica to answer one request.
 DEFAULT_UPSTREAM_TIMEOUT = 120.0
 
-_GET_PATHS = ("/healthz", "/v1/stats", "/metrics", "/v1/subscriptions")
-_POST_PATHS = (
-    "/v1/query",
-    "/v1/query_batch",
-    "/v1/extend",
-    "/v1/append",
-    "/v1/subscribe",
-    "/v1/unsubscribe",
-    "/v1/notifications",
-)
+#: The replica's endpoint table minus the replica-internal follower hop.
+_PUBLIC_ROUTES = {
+    verb: frozenset(paths) - {"/v1/import"} for verb, paths in ROUTES.items()
+}
+#: Writes applied on every replica through the fleet's op log.
+_REPLICATED_OPS = ("/v1/extend", "/v1/append", "/v1/subscribe", "/v1/unsubscribe")
 
 
 class HashRing:
@@ -183,7 +189,7 @@ class _RouterHandler(socketserver.StreamRequestHandler):
                 request = self._read_request()
             except _BadClient as exc:
                 try:
-                    router._respond(self.wfile, 400, _error_body("bad_request", str(exc), 400),
+                    router._respond(self.wfile, 400, error_body("bad_request", str(exc), 400),
                                     keep_alive=False)
                 except OSError:
                     pass
@@ -193,7 +199,7 @@ class _RouterHandler(socketserver.StreamRequestHandler):
             if request is None:
                 return
             method, path, body, keep_alive = request
-            with router._request_tracked():
+            with router.requests:
                 try:
                     keep_alive = router._handle_one(self.wfile, method, path, body, keep_alive)
                 except OSError:
@@ -243,13 +249,6 @@ class _BadClient(Exception):
     """The client sent something unparsable; answer 400 and drop it."""
 
 
-def _error_body(error_type: str, message: str, status: int) -> bytes:
-    return json.dumps(
-        {"error": {"type": error_type, "message": message, "status": status}},
-        sort_keys=True,
-    ).encode("utf-8")
-
-
 class Router:
     """One port in front of a replica fleet; see the module docstring.
 
@@ -278,8 +277,7 @@ class Router:
         self._http: _RouterTCPServer | None = None
         self._thread: threading.Thread | None = None
         self._serving = False
-        self._active = 0
-        self._active_lock = threading.Lock()
+        self.requests = ActiveRequests()
         self._pools: dict[int, deque[_Upstream]] = {slot: deque() for slot in fleet.slots}
         self._pool_lock = threading.Lock()
         self._key_cache: OrderedDict[bytes, str] = OrderedDict()
@@ -349,29 +347,16 @@ class Router:
         finally:
             self._serving = False
 
-    @contextmanager
-    def _request_tracked(self) -> Iterator[None]:
-        with self._active_lock:
-            self._active += 1
-        try:
-            yield
-        finally:
-            with self._active_lock:
-                self._active -= 1
-
     @property
     def active_requests(self) -> int:
-        with self._active_lock:
-            return self._active
+        return self.requests.count
 
     def stop(self, grace: float = 5.0) -> None:
         """Drain in-flight requests, close the socket, stop the fleet."""
         if self._http is not None:
             if self._serving:
                 self._http.shutdown()
-            deadline = time.monotonic() + grace
-            while self.active_requests and time.monotonic() < deadline:
-                time.sleep(0.005)
+            self.requests.drain(grace)
             self._http.server_close()
             self._http = None
         if self._thread is not None:
@@ -415,66 +400,42 @@ class Router:
     def _handle_one(
         self, wfile: Any, method: str, path: str, body: bytes, keep_alive: bool
     ) -> bool:
-        if method == "GET":
-            if path == "/healthz":
-                self._handle_healthz(wfile, keep_alive)
-            elif path == "/v1/stats":
-                document = self.cluster_stats()
-                self._respond(
-                    wfile, 200, json.dumps(document, sort_keys=True).encode("utf-8"),
-                    keep_alive=keep_alive,
-                )
-            elif path == "/metrics":
-                self._respond(
-                    wfile, 200, self.metrics_text().encode("utf-8"),
-                    content_type="text/plain; version=0.0.4", keep_alive=keep_alive,
-                )
-            elif path == "/v1/subscriptions":
-                # Replicated state: every replica holds an identical
-                # registry, so any alive replica's answer is the cluster's.
-                self._handle_replicated_read(wfile, "GET", path, b"", keep_alive)
-            elif path in _POST_PATHS:
-                self._respond(
-                    wfile, 405,
-                    _error_body("method_not_allowed", f"POST required for {path}", 405),
-                    keep_alive=keep_alive,
-                )
-            else:
-                self._respond(
-                    wfile, 404, _error_body("not_found", f"unknown path {path!r}", 404),
-                    keep_alive=keep_alive,
-                )
-        elif method == "POST":
-            if path in ("/v1/extend", "/v1/append"):
-                self._handle_mutation(wfile, path, body, keep_alive)
-            elif path in ("/v1/subscribe", "/v1/unsubscribe"):
-                self._handle_subscription(wfile, path, body, keep_alive)
-            elif path == "/v1/notifications":
-                # Replicas regenerate byte-identical notification streams
-                # from the replicated op log, so a long-poll cursor is valid
-                # against any alive replica — including one that was
-                # SIGKILLed and re-forked since the client's last read.
-                self._handle_replicated_read(wfile, "POST", path, body, keep_alive)
-            elif path in ("/v1/query", "/v1/query_batch"):
-                self._handle_routed(wfile, path, body, keep_alive)
-            elif path in _GET_PATHS:
-                self._respond(
-                    wfile, 405,
-                    _error_body("method_not_allowed", f"GET required for {path}", 405),
-                    keep_alive=keep_alive,
-                )
-            else:
-                self._respond(
-                    wfile, 404, _error_body("not_found", f"unknown path {path!r}", 404),
-                    keep_alive=keep_alive,
-                )
-        else:
+        paths = _PUBLIC_ROUTES.get(method)
+        if paths is None:
             self._respond(
                 wfile, 405,
-                _error_body("method_not_allowed", f"unsupported method {method}", 405),
+                error_body("method_not_allowed", f"unsupported method {method}", 405),
                 keep_alive=False,
             )
             return False
+        if path not in paths:
+            status, error = misrouted(method, path, _PUBLIC_ROUTES)
+            self._respond(wfile, status, error, keep_alive=keep_alive)
+        elif path in ("/v1/query", "/v1/query_batch"):
+            slots = self.ring.order(self.routing_key(path, body))
+            self._relay(wfile, method, path, body, keep_alive, slots)
+        elif path in _REPLICATED_OPS:
+            self._broadcast(wfile, path, body, keep_alive)
+        elif path in ("/v1/subscriptions", "/v1/notifications"):
+            # Replicated state: every replica applied the same op log, so
+            # it holds the same registry and the byte-identical notification
+            # stream — any alive replica's answer, and a long-poll cursor,
+            # is valid cluster-wide.  A GET forwards no body.
+            forwarded = body if method == "POST" else b""
+            self._relay(wfile, method, path, forwarded, keep_alive, self.fleet.alive_slots())
+        elif path == "/healthz":
+            self._handle_healthz(wfile, keep_alive)
+        elif path == "/v1/stats":
+            document = self.cluster_stats()
+            self._respond(
+                wfile, 200, json.dumps(document, sort_keys=True).encode("utf-8"),
+                keep_alive=keep_alive,
+            )
+        else:  # /metrics
+            self._respond(
+                wfile, 200, self.metrics_text().encode("utf-8"),
+                content_type="text/plain; version=0.0.4", keep_alive=keep_alive,
+            )
         return keep_alive
 
     def _handle_healthz(self, wfile: Any, keep_alive: bool) -> None:
@@ -522,11 +483,23 @@ class Router:
                 self._key_cache.popitem(last=False)
         return key
 
-    def _handle_routed(self, wfile: Any, path: str, body: bytes, keep_alive: bool) -> None:
-        """Relay an idempotent request, walking the ring on transport failure."""
-        key = self.routing_key(path, body)
+    def _relay(
+        self,
+        wfile: Any,
+        method: str,
+        path: str,
+        body: bytes,
+        keep_alive: bool,
+        slots: Iterable[int],
+    ) -> None:
+        """Relay a read to the first alive slot that answers, in ``slots`` order.
+
+        Routed queries pass the ring walk from their key's position, reads
+        of replicated state the alive slots; either way a transport failure
+        moves on to the next slot, and every failover counts as a retry.
+        """
         first = True
-        for slot in self.ring.order(key):
+        for slot in slots:
             if not self.fleet.is_alive(slot):
                 continue
             if not first:
@@ -534,61 +507,23 @@ class Router:
                     self._retries_total += 1
             first = False
             try:
-                status, content_type, response, retry_after = self._forward(
-                    slot, "POST", path, body
-                )
+                answer = self._forward(slot, method, path, body)
             except _UpstreamError:
                 self._note_upstream_error(slot)
                 continue
-            extra = [("Retry-After", retry_after)] if retry_after else []
-            self._respond(
-                wfile, status, response, content_type=content_type,
-                keep_alive=keep_alive, extra_headers=extra,
-            )
+            self._respond_upstream(wfile, answer, keep_alive)
             return
-        self._respond(
-            wfile, 503,
-            _error_body("serving_error", "no replica could be reached", 503),
-            keep_alive=keep_alive,
-        )
+        self._respond_unreachable(wfile, keep_alive)
 
-    def _handle_replicated_read(
-        self, wfile: Any, method: str, path: str, body: bytes, keep_alive: bool
-    ) -> None:
-        """Relay a read of replicated subscription state to any alive replica."""
-        for slot in self.fleet.alive_slots():
-            try:
-                status, content_type, response, retry_after = self._forward(
-                    slot, method, path, body
-                )
-            except _UpstreamError:
-                self._note_upstream_error(slot)
-                continue
-            extra = [("Retry-After", retry_after)] if retry_after else []
-            self._respond(
-                wfile, status, response, content_type=content_type,
-                keep_alive=keep_alive, extra_headers=extra,
-            )
-            return
-        self._respond(
-            wfile, 503,
-            _error_body("serving_error", "no replica could be reached", 503),
-            keep_alive=keep_alive,
-        )
+    def _broadcast(self, wfile: Any, path: str, body: bytes, keep_alive: bool) -> None:
+        """Apply one replicated op on the leader, log it, and ship the entry to the rest.
 
-    def _handle_subscription(
-        self, wfile: Any, path: str, body: bytes, keep_alive: bool
-    ) -> None:
-        """Broadcast a subscribe/unsubscribe through the ordered op log.
-
-        Same shape as :meth:`_handle_mutation` (and serialized by the same
-        lock, so subscription ops and mutations interleave in one total
-        order): the first alive replica is the leader — it validates the
-        spec and, for a subscribe, assigns the deterministic id — then the
-        id-stamped spec is appended to the replay log and broadcast to the
-        remaining replicas.  Every replica registers the same subscription
-        under the same id at the same point of the op order, which is what
-        keeps their notification streams byte-identical.
+        A mutation's leader request carries ``"ship_artifact": true``, so
+        followers import the sealed delta instead of recompiling, and the
+        artifact never reaches the client — the relayed response is
+        re-serialized without it.  A subscribe's log entry carries the
+        leader-assigned id, so every replica registers the same
+        subscription under the same id at the same point of the op order.
         """
         try:
             spec = json.loads(body)
@@ -597,65 +532,80 @@ class Router:
         except ValueError as exc:
             self._respond(
                 wfile, 400,
-                _error_body("bad_request", f"request body is not a JSON object: {exc}", 400),
+                error_body("bad_request", f"request body is not a JSON object: {exc}", 400),
                 keep_alive=keep_alive,
             )
             return
+        kind = path[len("/v1/"):]
+        if kind in ("extend", "append"):
+            body = json.dumps({**spec, "ship_artifact": True}, sort_keys=True).encode("utf-8")
         with self._extend_lock:
-            leader_response = None
-            leader_slot = None
-            remaining = []
-            for slot in self.fleet.alive_slots():
-                if leader_response is None:
-                    try:
-                        leader_response = self._forward(slot, "POST", path, body)
-                        leader_slot = slot
-                    except _UpstreamError:
-                        self._note_upstream_error(slot)
-                else:
-                    remaining.append(slot)
-            if leader_response is None:
-                self._respond(
-                    wfile, 503,
-                    _error_body("serving_error", "no replica could be reached", 503),
-                    keep_alive=keep_alive,
-                )
-                return
-            status, content_type, response, retry_after = leader_response
-            if status != 200:
-                extra = [("Retry-After", retry_after)] if retry_after else []
-                self._respond(
-                    wfile, status, response, content_type=content_type,
-                    keep_alive=keep_alive, extra_headers=extra,
-                )
-                return
-            if path == "/v1/subscribe":
-                document = json.loads(response)
-                stamped = {**spec, "id": document["subscription"]["id"]}
-                entry: dict[str, Any] = {"kind": "subscribe", "subscription": stamped}
-                follower_body = json.dumps(stamped, sort_keys=True).encode("utf-8")
-            else:
-                entry = {"kind": "unsubscribe", "id": spec.get("id")}
-                follower_body = body
-            log_len = self.fleet.record_extend(entry)
-            self.fleet.note_extend_applied(leader_slot, log_len)  # type: ignore[arg-type]
-            for slot in remaining:
-                if self.fleet.applied_len(slot) >= log_len:
-                    continue  # a fresh fork already replayed this op
+            slots = self.fleet.alive_slots()
+            for position, leader in enumerate(slots):
                 try:
-                    follower_status, _, _, _ = self._forward(
-                        slot, "POST", path, follower_body
-                    )
+                    answer = self._forward(leader, "POST", path, body)
+                    break
                 except _UpstreamError:
-                    self._note_upstream_error(slot)
-                    self.fleet.force_restart(slot)
-                    continue
-                if follower_status == 200:
-                    self.fleet.note_extend_applied(slot, log_len)
-                else:
-                    self.fleet.force_restart(slot)
-            self._respond(wfile, status, response, content_type=content_type,
-                          keep_alive=keep_alive)
+                    self._note_upstream_error(leader)
+            else:
+                self._respond_unreachable(wfile, keep_alive)
+                return
+            status, content_type, response, _ = answer
+            if status != 200:
+                # Rejected (or the leader is overloaded): relay verbatim;
+                # nothing was recorded, no replica diverged.
+                self._respond_upstream(wfile, answer, keep_alive)
+                return
+            document = json.loads(response)
+            entry: dict[str, Any]
+            if kind == "subscribe":
+                stamped = {**spec, "id": document["subscription"]["id"]}
+                entry = {"kind": kind, "subscription": stamped}
+            elif kind == "unsubscribe":
+                entry = {"kind": kind, "id": spec.get("id")}
+            else:
+                entry = {"kind": kind, "artifact": document.pop("artifact")}
+                if kind == "extend":
+                    entry["spec"] = spec
+                response = json.dumps(document, sort_keys=True).encode("utf-8")
+            log_len = self.fleet.record_extend(entry)
+            try:
+                self.fleet.note_extend_applied(leader, log_len)
+                entry_body = json.dumps(entry, sort_keys=True).encode("utf-8")
+                for follower in slots[position + 1:]:
+                    if self.fleet.applied_len(follower) >= log_len:
+                        continue  # a fresh fork already replayed this op
+                    try:
+                        applied = self._forward(follower, "POST", "/v1/import", entry_body)[0]
+                    except _UpstreamError:
+                        self._note_upstream_error(follower)
+                        applied = None
+                    if applied == 200:
+                        self.fleet.note_extend_applied(follower, log_len)
+                    else:
+                        # Its epoch diverged or it died: re-fork it and let
+                        # the log replay converge it.
+                        self.fleet.force_restart(follower)
+            finally:
+                self.fleet.finish_broadcast(log_len)
+        self._respond(wfile, 200, response, content_type=content_type, keep_alive=keep_alive)
+
+    def _respond_upstream(
+        self, wfile: Any, answer: tuple[int, str, bytes, str | None], keep_alive: bool
+    ) -> None:
+        status, content_type, response, retry_after = answer
+        extra = [("Retry-After", retry_after)] if retry_after else []
+        self._respond(
+            wfile, status, response, content_type=content_type,
+            keep_alive=keep_alive, extra_headers=extra,
+        )
+
+    def _respond_unreachable(self, wfile: Any, keep_alive: bool) -> None:
+        self._respond(
+            wfile, 503,
+            error_body("serving_error", "no replica could be reached", 503),
+            keep_alive=keep_alive,
+        )
 
     def _note_upstream_error(self, slot: int) -> None:
         with self._counter_lock:
@@ -753,95 +703,6 @@ class Router:
         else:
             self._checkin(slot, upstream)
         return status, content_type, response, retry_after
-
-    # ------------------------------------------------------------- mutations
-    def _handle_mutation(self, wfile: Any, path: str, body: bytes, keep_alive: bool) -> None:
-        """Compile once on the leader, record the sealed delta, ship to the rest.
-
-        The leader request carries ``"ship_artifact": true`` so its response
-        includes the sealed compiled delta; followers then import that
-        artifact over ``/v1/import`` instead of recompiling, which is what
-        keeps every replica byte-identical.  The artifact never reaches the
-        client — the relayed response is re-serialized without it.
-        """
-        try:
-            spec = json.loads(body)
-            if not isinstance(spec, dict):
-                raise ValueError("not an object")
-        except ValueError as exc:
-            self._respond(
-                wfile, 400,
-                _error_body("bad_request", f"request body is not a JSON object: {exc}", 400),
-                keep_alive=keep_alive,
-            )
-            return
-        leader_body = json.dumps(
-            {**spec, "ship_artifact": True}, sort_keys=True
-        ).encode("utf-8")
-        with self._extend_lock:
-            leader_response = None
-            leader_slot = None
-            remaining = []
-            for slot in self.fleet.alive_slots():
-                if leader_response is None:
-                    try:
-                        leader_response = self._forward(slot, "POST", path, leader_body)
-                        leader_slot = slot
-                    except _UpstreamError:
-                        self._note_upstream_error(slot)
-                else:
-                    remaining.append(slot)
-            if leader_response is None:
-                self._respond(
-                    wfile, 503,
-                    _error_body("serving_error", "no replica could be reached", 503),
-                    keep_alive=keep_alive,
-                )
-                return
-            status, content_type, response, retry_after = leader_response
-            if status != 200:
-                # The body was rejected (or the leader is overloaded): relay
-                # verbatim; nothing was recorded, no replica diverged.
-                extra = [("Retry-After", retry_after)] if retry_after else []
-                self._respond(
-                    wfile, status, response, content_type=content_type,
-                    keep_alive=keep_alive, extra_headers=extra,
-                )
-                return
-            document = json.loads(response)
-            artifact = document.pop("artifact", None)
-            if artifact is None:  # pragma: no cover - a replica always ships it when asked
-                raise ServingError("the leader replica shipped no sealed artifact")
-            response = json.dumps(document, sort_keys=True).encode("utf-8")
-            entry: dict[str, Any] = {"artifact": artifact}
-            if path == "/v1/extend":
-                entry.update(kind="extend", spec=spec)
-                import_body = {"artifact": artifact, "spec": spec}
-            else:
-                entry.update(kind="append", facts=spec.get("facts"))
-                import_body = {"artifact": artifact}
-            follower_body = json.dumps(import_body, sort_keys=True).encode("utf-8")
-            log_len = self.fleet.record_extend(entry)
-            self.fleet.note_extend_applied(leader_slot, log_len)  # type: ignore[arg-type]
-            for slot in remaining:
-                if self.fleet.applied_len(slot) >= log_len:
-                    continue  # a fresh fork already replayed this mutation
-                try:
-                    follower_status, _, _, _ = self._forward(
-                        slot, "POST", "/v1/import", follower_body
-                    )
-                except _UpstreamError:
-                    self._note_upstream_error(slot)
-                    self.fleet.force_restart(slot)
-                    continue
-                if follower_status == 200:
-                    self.fleet.note_extend_applied(slot, log_len)
-                else:
-                    # A failed import means the replica's epoch diverged;
-                    # re-fork it and let the replay log converge it.
-                    self.fleet.force_restart(slot)
-            self._respond(wfile, 200, response, content_type=content_type,
-                          keep_alive=keep_alive)
 
     # ----------------------------------------------------------------- stats
     def _on_replica_death(self, slot: int) -> None:

@@ -13,8 +13,8 @@
                           ``{"added_components": k, "generation": g}``
 ``POST /v1/append``       ``{"facts": {relation: [...]}}`` →
                           ``{"added_tuples": n, "generation": g}``
-``POST /v1/import``       ``{"kind": ..., "artifact": <sealed delta>}`` →
-                          ``{"added_components": k, "generation": g}``
+``POST /v1/import``       one fleet op-log entry (a sealed mutation or a
+                          subscription op) → ``{"generation": g}``
 ``POST /v1/subscribe``    ``{"query": ..., "predicate": ..., "sink": ...}`` →
                           the subscription document (id, baseline answers)
 ``POST /v1/unsubscribe``  ``{"id": "sub-3"}`` → ``{"id": ..., "removed": true}``
@@ -41,8 +41,10 @@ becomes an :class:`~repro.core.mvdb.MVDB` is pluggable via the server's
 DBLP workload from ``{"groups": ..., "seed": ..., "views": [...]}``).
 Both mutation endpoints accept ``"ship_artifact": true`` (set by the
 router, never by clients) to include the sealed compiled delta in the
-response; ``/v1/import`` is the matching follower-side endpoint that
-installs such an artifact without recompiling.
+response.  ``/v1/import`` is the follower side of a fleet: its body is
+one entry of the fleet's op log, applied with
+:func:`~repro.serving.fleet.replay_entry` — the same call a restarted
+replica replays its whole log with.
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.core.engine import MVQueryEngine
 from repro.core.mvdb import MVDB
@@ -62,6 +63,7 @@ from repro.serving.dispatch import (
     DEFAULT_WORKERS,
     Dispatcher,
 )
+from repro.serving.fleet import replay_entry
 from repro.subscribe import SubscriptionService
 
 #: Largest request body accepted, in bytes (a query batch, comfortably).
@@ -73,6 +75,48 @@ MAX_BATCH_SIZE = 1024
 
 class _BadRequest(ServingError):
     """A malformed request body (not valid JSON / wrong shape)."""
+
+
+def error_body(error_type: str, message: str, status: int) -> bytes:
+    """The structured error document every non-2xx response carries."""
+    return json.dumps(
+        {"error": {"type": error_type, "message": message, "status": status}},
+        sort_keys=True,
+    ).encode("utf-8")
+
+
+def misrouted(verb: str, path: str, routes: dict[str, Any]) -> tuple[int, bytes]:
+    """The answer for a request no route serves: 405 for a known path, else 404."""
+    for allowed, paths in routes.items():
+        if path in paths and allowed != verb:
+            return 405, error_body("method_not_allowed", f"{allowed} required for {path}", 405)
+    return 404, error_body("not_found", f"unknown path {path!r}", 404)
+
+
+class ActiveRequests:
+    """Counts requests inside a handler, so a stop can drain them.
+
+    Idle keep-alive connections are not counted: they are droppable,
+    in-flight requests are not.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.count = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            self.count += 1
+
+    def __exit__(self, *exc_info: Any) -> None:
+        with self._lock:
+            self.count -= 1
+
+    def drain(self, grace: float) -> None:
+        """Wait up to ``grace`` seconds for the count to reach zero."""
+        deadline = time.monotonic() + grace
+        while self.count and time.monotonic() < deadline:
+            time.sleep(0.005)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -90,12 +134,15 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.prob_server.verbose:  # pragma: no cover - debug aid
             super().log_message(format, *args)
 
-    def _send_json(
-        self, status: int, document: dict[str, Any], headers: dict[str, str] | None = None
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+        headers: dict[str, str] | None = None,
     ) -> None:
-        body = json.dumps(document, sort_keys=True).encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
@@ -103,14 +150,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         self.server.prob_server.dispatcher.metrics.observe_response(status)
 
-    def _send_error_json(
+    def _send_json(self, status: int, document: dict[str, Any]) -> None:
+        self._send(status, json.dumps(document, sort_keys=True).encode("utf-8"))
+
+    def _send_error(
         self, status: int, error_type: str, message: str, headers: dict[str, str] | None = None
     ) -> None:
-        self._send_json(
-            status,
-            {"error": {"type": error_type, "message": message, "status": status}},
-            headers=headers,
-        )
+        self._send(status, error_body(error_type, message, status), headers=headers)
 
     def _read_raw_body(self) -> bytes:
         """Read (and thereby drain) the request body.
@@ -142,73 +188,33 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------ routes
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        with self.server.prob_server.request_tracked():
-            self._do_get()
+        with self.server.prob_server.requests:
+            self._route("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        with self.server.prob_server.request_tracked():
-            self._do_post()
+        with self.server.prob_server.requests:
+            self._route("POST")
 
-    def _do_get(self) -> None:
+    def _route(self, verb: str) -> None:
         try:
-            if self.path == "/healthz":
-                self._handle_healthz()
-            elif self.path == "/v1/stats":
-                self._handle_stats()
-            elif self.path == "/metrics":
-                self._handle_metrics()
-            elif self.path == "/v1/subscriptions":
-                self._send_json(200, self.server.prob_server.subscriptions.list())
-            elif self.path in (
-                "/v1/query",
-                "/v1/query_batch",
-                "/v1/extend",
-                "/v1/append",
-                "/v1/import",
-                "/v1/subscribe",
-                "/v1/unsubscribe",
-                "/v1/notifications",
-            ):
-                self._send_error_json(405, "method_not_allowed", f"POST required for {self.path}")
+            if verb == "POST":
+                try:
+                    self._raw_body = self._read_raw_body()
+                except _BadRequest as exc:
+                    # Without a believable Content-Length the connection
+                    # cannot be resynced — answer and drop it.
+                    self.close_connection = True
+                    self._send_error(400, "bad_request", str(exc))
+                    return
+            handler = ROUTES[verb].get(self.path)
+            if handler is None:
+                self._send(*misrouted(verb, self.path, ROUTES))
             else:
-                self._send_error_json(404, "not_found", f"unknown path {self.path!r}")
-        except Exception as exc:  # pragma: no cover - defensive
-            self._internal_error(exc)
-
-    def _do_post(self) -> None:
-        try:
-            try:
-                self._raw_body = self._read_raw_body()
-            except _BadRequest as exc:
-                # Without a believable Content-Length the connection cannot
-                # be resynced — answer and drop it.
-                self.close_connection = True
-                self._send_error_json(400, "bad_request", str(exc))
-                return
-            if self.path == "/v1/query":
-                self._handle_query()
-            elif self.path == "/v1/query_batch":
-                self._handle_query_batch()
-            elif self.path == "/v1/extend":
-                self._handle_extend()
-            elif self.path == "/v1/append":
-                self._handle_append()
-            elif self.path == "/v1/import":
-                self._handle_import()
-            elif self.path == "/v1/subscribe":
-                self._handle_subscribe()
-            elif self.path == "/v1/unsubscribe":
-                self._handle_unsubscribe()
-            elif self.path == "/v1/notifications":
-                self._handle_notifications()
-            elif self.path in ("/healthz", "/v1/stats", "/metrics", "/v1/subscriptions"):
-                self._send_error_json(405, "method_not_allowed", f"GET required for {self.path}")
-            else:
-                self._send_error_json(404, "not_found", f"unknown path {self.path!r}")
+                handler(self)
         except _BadRequest as exc:
-            self._send_error_json(400, "bad_request", str(exc))
+            self._send_error(400, "bad_request", str(exc))
         except AdmissionError as exc:
-            self._send_error_json(
+            self._send_error(
                 429,
                 "admission_error",
                 str(exc),
@@ -217,16 +223,13 @@ class _Handler(BaseHTTPRequestHandler):
         except ReproError as exc:
             # Library-detected user mistakes: unparsable queries, unknown
             # methods, rejected extensions, ... — the caller's to fix.
-            self._send_error_json(400, wire_name(type(exc)), str(exc))
+            self._send_error(400, wire_name(type(exc)), str(exc))
         except Exception as exc:
-            self._internal_error(exc)
-
-    def _internal_error(self, exc: BaseException) -> None:
-        self.server.prob_server.dispatcher.metrics.observe_error()
-        try:
-            self._send_error_json(500, "internal_error", f"{type(exc).__name__}: {exc}")
-        except Exception:  # pragma: no cover - client went away mid-reply
-            pass
+            self.server.prob_server.dispatcher.metrics.observe_error()
+            try:
+                self._send_error(500, "internal_error", f"{type(exc).__name__}: {exc}")
+            except Exception:  # pragma: no cover - client went away mid-reply
+                pass
 
     # ---------------------------------------------------------------- handlers
     def _handle_healthz(self) -> None:
@@ -248,12 +251,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_metrics(self) -> None:
         body = self.server.prob_server.dispatcher.metrics_text().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self.server.prob_server.dispatcher.metrics.observe_response(200)
+        self._send(200, body, content_type="text/plain; version=0.0.4")
+
+    def _handle_subscriptions(self) -> None:
+        self._send_json(200, self.server.prob_server.subscriptions.list())
 
     def _handle_query(self) -> None:
         document = self._read_body()
@@ -292,26 +293,15 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_extend(self) -> None:
         prob_server = self.server.prob_server
         if prob_server.extender is None:
-            self._send_error_json(
-                501, "unsupported", "this server was started without an extender"
-            )
+            self._send_error(501, "unsupported", "this server was started without an extender")
             return
         document = self._read_body()
         ship_artifact = bool(document.pop("ship_artifact", False))
-        mvdb = prob_server.extender(document)
+        added, generation, sealed = prob_server.dispatcher.extend(prob_server.extender(document))
+        response: dict[str, Any] = {"added_components": len(added), "generation": generation}
         if ship_artifact:
-            added, generation, sealed = prob_server.dispatcher.extend_sealed(mvdb)
-            self._send_json(
-                200,
-                {
-                    "added_components": len(added),
-                    "generation": generation,
-                    "artifact": sealed,
-                },
-            )
-        else:
-            added, generation = prob_server.dispatcher.extend(mvdb)
-            self._send_json(200, {"added_components": len(added), "generation": generation})
+            response["artifact"] = sealed
+        self._send_json(200, response)
 
     def _handle_append(self) -> None:
         document = self._read_body()
@@ -326,29 +316,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, response)
 
     def _handle_import(self) -> None:
-        # The follower half of compile-once-ship: install a sealed delta
-        # produced by the leader.  Extends need the extender (the sealed
-        # form names views, resolved against a freshly built spec MVDB);
-        # appends are self-contained.  A stale artifact maps to 400
-        # (serving_error) — the router force-restarts the diverged replica.
+        # The follower half of the fleet's op log: apply one entry exactly
+        # as a restarted replica replays it.  A stale or malformed entry
+        # raises (400 serving_error); the router then force-restarts us.
         prob_server = self.server.prob_server
-        document = self._read_body()
-        artifact = document.get("artifact")
-        if not isinstance(artifact, dict):
-            raise _BadRequest("'artifact' must be a sealed-delta object")
-        mvdb = None
-        if artifact.get("kind") == "extend" and artifact.get("new_view_names"):
-            if prob_server.extender is None:
-                self._send_error_json(
-                    501, "unsupported", "this server was started without an extender"
-                )
-                return
-            spec = document.get("spec")
-            if not isinstance(spec, dict):
-                raise _BadRequest("importing an extend artifact requires its 'spec'")
-            mvdb = prob_server.extender(dict(spec))
-        added, generation = prob_server.dispatcher.apply_sealed(artifact, mvdb=mvdb)
-        self._send_json(200, {"added_components": len(added), "generation": generation})
+        replay_entry(prob_server.dispatcher, prob_server.extender, self._read_body())
+        self._send_json(200, {"generation": prob_server.dispatcher.generation})
 
     def _handle_subscribe(self) -> None:
         document = self._read_body()
@@ -384,14 +357,36 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+#: The endpoint table, verb -> path -> handler.  The router serves the same
+#: paths except ``/v1/import``, and docs-check compares the (path, verb)
+#: pairs with the endpoint table of ``docs/serving.md``.
+ROUTES: dict[str, dict[str, Callable[[_Handler], None]]] = {
+    "GET": {
+        "/healthz": _Handler._handle_healthz,
+        "/v1/stats": _Handler._handle_stats,
+        "/metrics": _Handler._handle_metrics,
+        "/v1/subscriptions": _Handler._handle_subscriptions,
+    },
+    "POST": {
+        "/v1/query": _Handler._handle_query,
+        "/v1/query_batch": _Handler._handle_query_batch,
+        "/v1/extend": _Handler._handle_extend,
+        "/v1/append": _Handler._handle_append,
+        "/v1/import": _Handler._handle_import,
+        "/v1/subscribe": _Handler._handle_subscribe,
+        "/v1/unsubscribe": _Handler._handle_unsubscribe,
+        "/v1/notifications": _Handler._handle_notifications,
+    },
+}
+
+
 class _HttpServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that knows its owning :class:`ProbServer`."""
 
     daemon_threads = True
     # server_close() must not join handler threads: a keep-alive client
     # parked between requests would block shutdown forever.  Draining waits
-    # on the active-REQUEST count (ProbServer.request_tracked) instead —
-    # idle connections are droppable, in-flight requests are not.
+    # on ProbServer.requests instead.
     block_on_close = False
     prob_server: "ProbServer"
 
@@ -441,8 +436,7 @@ class ProbServer:
         self._http.prob_server = self
         self._thread: threading.Thread | None = None
         self._serving = False
-        self._active = 0
-        self._active_lock = threading.Lock()
+        self.requests = ActiveRequests()
 
     # ------------------------------------------------------------------ basics
     @property
@@ -475,22 +469,10 @@ class ProbServer:
         finally:
             self._serving = False
 
-    @contextmanager
-    def request_tracked(self) -> Iterator[None]:
-        """Count one in-flight request (what :meth:`stop` drains on)."""
-        with self._active_lock:
-            self._active += 1
-        try:
-            yield
-        finally:
-            with self._active_lock:
-                self._active -= 1
-
     @property
     def active_requests(self) -> int:
         """Requests currently inside a handler (excluding idle keep-alives)."""
-        with self._active_lock:
-            return self._active
+        return self.requests.count
 
     def stop(self, grace: float = 5.0) -> None:
         """Drain in-flight requests, then shut everything down (idempotent).
@@ -504,9 +486,7 @@ class ProbServer:
         """
         if self._serving:
             self._http.shutdown()
-        deadline = time.monotonic() + grace
-        while self.active_requests and time.monotonic() < deadline:
-            time.sleep(0.005)
+        self.requests.drain(grace)
         self._http.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -11,7 +11,7 @@ long-lived serving process needs:
 * **prepared queries** (:class:`PreparedQuery`): the relational round trip
   happens once at prepare time, after which the handle can be executed under
   any evaluation method;
-* a **batch API** (:meth:`QuerySession.query_batch`) that deduplicates the
+* a **batch API** (:meth:`QuerySession.execute_batch`) that deduplicates the
   conjunctive disjuncts of all queries in the batch and evaluates each
   distinct one exactly once — a single relational evaluation pass shared by
   the whole batch — before intersecting every lineage against the MV-index;
@@ -67,7 +67,7 @@ class SessionStatistics:
     relational_passes: int = 0
     #: Distinct conjunctive disjuncts evaluated inside those passes.
     evaluated_disjuncts: int = 0
-    #: Calls to :meth:`QuerySession.query_batch`.
+    #: Calls to :meth:`QuerySession.execute_batch`.
     batches: int = 0
     #: In-batch duplicate queries resolved by sharing the batch's own
     #: computation (not served from the result cache).
@@ -141,10 +141,6 @@ class PreparedQuery:
     def execute(self, method: str = "mvindex") -> QueryResult:
         """Typed answers for the prepared query (result-cached)."""
         return self.session._run_prepared(self, method)
-
-    def run(self, method: str = "mvindex") -> dict[tuple[Any, ...], float]:
-        """Answer probabilities as the legacy ``{answer: probability}`` map."""
-        return self.execute(method).to_dict()
 
     def boolean_probability(self, method: str = "mvindex") -> float:
         """``P(Q)`` for a prepared Boolean query (0.0 without derivations)."""
@@ -228,12 +224,6 @@ class QuerySession:
             if self.generation == generation:
                 self._results.put((key, resolved.name), computed)
         return self._typed_result(computed, resolved, cached_hit=False, start=start)
-
-    def query(
-        self, query: UCQ | ConjunctiveQuery, method: str = "mvindex"
-    ) -> dict[tuple[Any, ...], float]:
-        """Like :meth:`execute`, as the legacy ``{answer: probability}`` map."""
-        return self.execute(query, method=method).to_dict()
 
     def boolean_probability(self, query: UCQ | ConjunctiveQuery, method: str = "mvindex") -> float:
         """``P(Q)`` for a Boolean query (0.0 if it has no derivations)."""
@@ -372,18 +362,6 @@ class QuerySession:
                 wall_time=resolved[key][2],
             )
             for key in keys
-        ]
-
-    def query_batch(
-        self,
-        queries: Sequence[UCQ | ConjunctiveQuery],
-        method: str = "mvindex",
-        workers: int | None = None,
-    ) -> list[dict[tuple[Any, ...], float]]:
-        """Like :meth:`execute_batch`, as legacy ``{answer: probability}`` maps."""
-        return [
-            result.to_dict()
-            for result in self.execute_batch(queries, method=method, workers=workers)
         ]
 
     # -------------------------------------------------------------- internals

@@ -37,7 +37,7 @@ import time
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ServingError
-from repro.mvindex.summaries import bitmap_from_hex, variables_bitmap
+from repro.mvindex.summaries import variables_bitmap
 from repro.serving.session import QuerySession
 from repro.subscribe.registry import (
     THRESHOLD_OPS,
@@ -133,12 +133,12 @@ class SubscriptionService:
         return {"id": subscription.sub_id, "removed": True}
 
     def apply_log_entry(self, entry: Mapping[str, Any]) -> None:
-        """Replay one fleet-log subscription entry (follower restart path)."""
+        """Apply one fleet-log subscription entry (live broadcast or restart replay)."""
         kind = entry.get("kind")
         if kind == "subscribe":
-            self.subscribe(entry["subscription"], persist=False)
+            self.subscribe(entry.get("subscription"), persist=False)
         elif kind == "unsubscribe":
-            self.unsubscribe(str(entry["id"]), persist=False)
+            self.unsubscribe(str(entry.get("id")), persist=False)
         else:
             raise ServingError(f"unknown subscription log entry kind {kind!r}")
 
@@ -152,15 +152,8 @@ class SubscriptionService:
         fresh query at that generation returns.
         """
         start = time.perf_counter()
-        delta_relations = set(descriptor.get("relations", ()))
-        # The delta's recompiled-component variables as a summary-layer
-        # bitmap: published descriptors carry it pre-encoded; older ones
-        # (replayed logs) fall back to encoding the variable list here.
-        bitmap_hex = descriptor.get("component_bitmap")
-        if bitmap_hex is not None:
-            delta_bitmap = bitmap_from_hex(bitmap_hex)
-        else:
-            delta_bitmap = variables_bitmap(descriptor.get("component_variables", ()))
+        delta_relations = set(descriptor["relations"])
+        delta_bitmap = descriptor["component_bitmap"]
         with self.dispatcher.read_pinned() as generation:
             with self._lock:
                 ordered = self.registry.ordered()

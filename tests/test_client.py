@@ -371,7 +371,7 @@ class TestDeprecationShims:
 
         engine = LegacyEngine(example1_mvdb())
         session = LegacySession(engine)
-        legacy = session.query(repro.parse_query("Q :- R(x), S(x)"))
+        legacy = session.execute(repro.parse_query("Q :- R(x), S(x)")).to_dict()
         facade = repro.connect(example1_mvdb()).query("Q :- R(x), S(x)")
         assert legacy == facade.to_dict()
 

@@ -488,8 +488,8 @@ class TestSubscriptionBroadcast:
 
     @staticmethod
     def _settle(fleet):
-        # The monitor may re-fork a follower it caught mid-broadcast (behind
-        # the log for an instant); wait until every slot is up and caught up.
+        # A killed follower comes back through a re-fork and a log replay;
+        # wait until every slot is up and has applied the whole log.
         deadline = time.monotonic() + 15.0
         while time.monotonic() < deadline:
             if len(fleet.alive_slots()) == 2 and all(
@@ -524,6 +524,37 @@ class TestSubscriptionBroadcast:
         # the byte-identical stream the client collected.
         for slot in fleet.alive_slots():
             assert self._replica_stream(fleet, slot) == collected
+
+
+class TestBroadcastConsistencyCheck:
+    def test_monitor_waits_for_the_broadcast_to_finish(self, engine):
+        # The monitor re-forks a replica that is behind the log, but an
+        # entry still being broadcast is not "behind" yet: re-forking then
+        # would kill a healthy follower the router is about to deliver to.
+        # The monitor is parked on a long interval; the test runs the
+        # check passes itself.
+        fleet = ReplicaFleet(
+            engine, 1, server_kwargs={"workers": 1}, health_interval=3600.0,
+            restart_backoff=0.0,
+        ).start()
+        try:
+            follower = fleet._slots[0]
+            incarnation = follower.incarnation
+            log_len = fleet.record_extend(
+                {"kind": "subscribe", "subscription": {"query": QUERIES[2], "id": "sub-0"}}
+            )
+            fleet._check(follower)
+            assert follower.incarnation == incarnation
+            fleet.finish_broadcast(log_len)
+            fleet._check(follower)
+            assert follower.incarnation == incarnation + 1
+            assert fleet.is_alive(0)
+            assert fleet.applied_len(0) == fleet.extend_log_len == log_len
+            host, port = fleet.address(0)
+            listing = repro.connect_remote(f"http://{host}:{port}").subscriptions()
+            assert [document["id"] for document in listing["subscriptions"]] == ["sub-0"]
+        finally:
+            fleet.stop()
 
 
 class TestRouterAllReplicasDown:

@@ -201,7 +201,7 @@ class TestNonBlockingWritePath:
             time.sleep(0.1)  # steady-state reads before the write begins
 
             write_begin = time.monotonic()
-            added, generation = dispatcher.extend(build_mvdb(_config()).mvdb)
+            added, generation, __ = dispatcher.extend(build_mvdb(_config()).mvdb)
             write_end = time.monotonic()
 
             stop.set()

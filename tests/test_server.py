@@ -505,6 +505,66 @@ class TestExtendWhileServing:
             server.stop()
 
 
+class TestImportEndpoint:
+    """``/v1/import``: a follower applies one fleet op-log entry."""
+
+    FACTS = {
+        "Author": [[990001, "Import Author 990001"]],
+        "Student": [[[990001, 2020], 2.0]],
+    }
+
+    @staticmethod
+    def _engine():
+        workload = build_mvdb(DblpConfig(group_count=3, seed=SEED), include_views=("V1", "V2"))
+        return repro.connect(workload.mvdb).engine
+
+    @pytest.fixture
+    def follower(self):
+        server = ProbServer(self._engine(), port=0, workers=1).start()
+        yield server
+        server.stop()
+
+    @staticmethod
+    def _import(server, entry):
+        status, __, payload = _raw_request(
+            server, "POST", "/v1/import", body=json.dumps(entry),
+            headers={"Content-Type": "application/json"},
+        )
+        return status, json.loads(payload)
+
+    def test_a_sealed_append_applies_once(self, follower):
+        leader = Dispatcher(self._engine(), workers=1)
+        try:
+            __, __, artifact = leader.append_facts(self.FACTS)
+        finally:
+            leader.close()
+        entry = {"kind": "append", "artifact": artifact}
+        status, document = self._import(follower, entry)
+        assert status == 200
+        assert document["generation"] == follower.dispatcher.generation == 1
+        status, document = self._import(follower, entry)
+        assert status == 400
+        assert document["error"]["type"] == "serving_error"
+        assert "stale" in document["error"]["message"]
+        assert follower.dispatcher.generation == 1
+
+    def test_subscription_ops_apply(self, follower):
+        remote = repro.connect_remote(follower.url)
+        subscribe = {"kind": "subscribe", "subscription": {"query": QUERIES[4], "id": "sub-7"}}
+        assert self._import(follower, subscribe)[0] == 200
+        listing = remote.subscriptions()
+        assert [document["id"] for document in listing["subscriptions"]] == ["sub-7"]
+        assert self._import(follower, {"kind": "unsubscribe", "id": "sub-7"})[0] == 200
+        assert remote.subscriptions()["active"] == 0
+
+    @pytest.mark.parametrize("entry", [{}, {"kind": "mystery"}, {"kind": "append"}])
+    def test_an_entry_without_an_op_is_a_400(self, follower, entry):
+        status, document = self._import(follower, entry)
+        assert status == 400
+        assert document["error"]["type"] == "serving_error"
+        assert follower.dispatcher.generation == 0
+
+
 class TestSessionGenerationGuard:
     """The satellite fix: one invalidation path, checked per request."""
 
@@ -558,7 +618,7 @@ class TestSessionGenerationGuard:
             dispatcher.execute(QUERIES[0])
             assert dispatcher.cache_stats()["string"]["entries"] == 1
             workload = build_mvdb(DblpConfig(group_count=GROUPS, seed=SEED))
-            added, generation = dispatcher.extend(workload.mvdb)
+            added, generation, __ = dispatcher.extend(workload.mvdb)
             assert added == []  # same views: nothing new to compile
             assert generation == 1
             assert dispatcher.cache_stats()["string"]["entries"] == 0

@@ -44,6 +44,11 @@ from repro.serving.session import QuerySession
 ROUND_TRIP_METHODS = [method for method in METHODS if method != "enumeration"]
 
 
+def _maps(results) -> list[dict]:
+    """The ``{answer: probability}`` map of every result of a batch."""
+    return [result.to_dict() for result in results]
+
+
 @pytest.fixture(scope="module")
 def workload():
     return build_mvdb(DblpConfig(group_count=4, seed=0))
@@ -274,8 +279,8 @@ class TestQuerySession:
     def test_result_cache_hit(self, engine):
         session = self.make_session(engine)
         query = students_of_advisor("Advisor 0")
-        first = session.query(query)
-        second = session.query(query)
+        first = session.execute(query).to_dict()
+        second = session.execute(query).to_dict()
         assert first == second
         assert session.statistics.result_hits == 1
         assert session.statistics.result_misses == 1
@@ -283,14 +288,14 @@ class TestQuerySession:
 
     def test_canonicalized_variant_hits_cache(self, engine):
         session = self.make_session(engine)
-        session.query(
+        session.execute(
             parse_query(
                 "Q(aid) :- Student(aid, year), Advisor(aid, aid1), Author(aid1, n1), "
                 "n1 like '%Advisor 0%'"
             )
         )
         # Same query with renamed variables and reordered atoms.
-        session.query(
+        session.execute(
             parse_query(
                 "Q(s) :- Author(b, name), Advisor(s, b), Student(s, yr), "
                 "name like '%Advisor 0%'"
@@ -303,27 +308,28 @@ class TestQuerySession:
         session = self.make_session(engine)
         for method in ("mvindex", "mvindex-mv"):
             for query in (students_of_advisor("Advisor 1"), advisor_of_student("Student 0-0")):
-                assert session.query(query, method=method) == engine.query(query, method=method)
+                expected = engine.query(query, method=method)
+                assert session.execute(query, method=method).to_dict() == expected
 
     def test_session_returns_copies(self, engine):
         session = self.make_session(engine)
         query = students_of_advisor("Advisor 0")
-        first = session.query(query)
+        first = session.execute(query).to_dict()
         first.clear()
-        assert session.query(query) != {}
+        assert session.execute(query).to_dict() != {}
 
     def test_lineage_cache_shared_across_methods(self, engine):
         session = self.make_session(engine)
         query = students_of_advisor("Advisor 0")
-        session.query(query, method="mvindex")
-        session.query(query, method="mvindex-mv")
+        session.execute(query, method="mvindex")
+        session.execute(query, method="mvindex-mv")
         assert session.statistics.relational_passes == 1
         assert session.statistics.lineage_hits == 1
 
     def test_lru_eviction(self, engine):
         session = self.make_session(engine, cache_size=2)
         for index in range(4):
-            session.query(students_of_advisor(f"Advisor {index}"))
+            session.execute(students_of_advisor(f"Advisor {index}"))
         assert session.statistics.evictions > 0
         info = session.cache_info()
         assert info["result_entries"] <= 2
@@ -333,8 +339,8 @@ class TestQuerySession:
         session = self.make_session(engine)
         prepared = session.prepare(students_of_advisor("Advisor 0"))
         assert session.statistics.relational_passes == 1
-        by_index = prepared.run("mvindex")
-        by_pointer = prepared.run("mvindex-mv")
+        by_index = prepared.execute("mvindex").to_dict()
+        by_pointer = prepared.execute("mvindex-mv").to_dict()
         assert by_index == by_pointer
         # No further relational work was needed after prepare().
         assert session.statistics.relational_passes == 1
@@ -350,17 +356,17 @@ class TestQuerySession:
     def test_session_rejects_unknown_method(self, engine):
         session = self.make_session(engine)
         with pytest.raises(InferenceError, match="unknown evaluation method"):
-            session.query(students_of_advisor("Advisor 0"), method="shanon")
+            session.execute(students_of_advisor("Advisor 0"), method="shanon")
 
     def test_prepared_query_rejects_unknown_method(self, engine):
         prepared = self.make_session(engine).prepare(students_of_advisor("Advisor 0"))
         with pytest.raises(InferenceError, match="unknown evaluation method"):
-            prepared.run(method="mvidnex")
+            prepared.execute(method="mvidnex")
 
     def test_session_rejects_nv_schema_queries(self, engine):
         session = self.make_session(engine)
         with pytest.raises(InferenceError, match="NV relations"):
-            session.query(parse_query("Q(x) :- NV_V1(x, y)"))
+            session.execute(parse_query("Q(x) :- NV_V1(x, y)"))
         with pytest.raises(InferenceError, match="NV relations"):
             session.prepare(parse_query("Q(x) :- NV_V1(x, y)"))
 
@@ -375,7 +381,7 @@ class TestQueryBatch:
         session = QuerySession(engine)
         queries = self.batch_queries(12)
         assert len(queries) >= 10
-        results = session.query_batch(queries)
+        results = session.execute_batch(queries)
         assert len(results) == len(queries)
         assert session.statistics.relational_passes == 1
         assert session.statistics.evaluated_disjuncts == len(queries)
@@ -383,15 +389,15 @@ class TestQueryBatch:
     def test_batch_matches_individual_queries(self, engine):
         session = QuerySession(engine)
         queries = self.batch_queries(12)
-        results = session.query_batch(queries)
-        for query, answers in zip(queries, results):
-            assert answers == engine.query(query, method="mvindex")
+        results = session.execute_batch(queries)
+        for query, result in zip(queries, results):
+            assert result.to_dict() == engine.query(query, method="mvindex")
 
     def test_warm_batch_is_all_hits(self, engine):
         session = QuerySession(engine)
         queries = self.batch_queries(12)
-        cold = session.query_batch(queries)
-        warm = session.query_batch(queries)
+        cold = _maps(session.execute_batch(queries))
+        warm = _maps(session.execute_batch(queries))
         assert cold == warm
         assert session.statistics.relational_passes == 1
         assert session.statistics.result_hits == len(queries)
@@ -399,7 +405,7 @@ class TestQueryBatch:
     def test_duplicate_queries_in_batch_are_deduplicated(self, engine):
         session = QuerySession(engine)
         query = students_of_advisor("Advisor 0")
-        results = session.query_batch([query, query, query])
+        results = _maps(session.execute_batch([query, query, query]))
         assert results[0] == results[1] == results[2]
         assert session.statistics.result_misses == 1
         # In-batch duplicates are shared computation, not cache hits.
@@ -407,22 +413,22 @@ class TestQueryBatch:
         assert session.statistics.deduplicated == 2
 
     def test_worker_pool_matches_sequential(self, engine):
-        sequential = QuerySession(engine).query_batch(self.batch_queries(12))
-        parallel = QuerySession(engine).query_batch(self.batch_queries(12), workers=4)
+        sequential = _maps(QuerySession(engine).execute_batch(self.batch_queries(12)))
+        parallel = _maps(QuerySession(engine).execute_batch(self.batch_queries(12), workers=4))
         assert parallel == sequential
 
     def test_batch_larger_than_cache_capacity(self, engine):
         # The caches evict mid-batch; the returned answers must not depend on
         # entries surviving until the end of the batch.
         queries = self.batch_queries(12)
-        expected = QuerySession(engine).query_batch(queries)
+        expected = _maps(QuerySession(engine).execute_batch(queries))
         small = QuerySession(engine, cache_size=3)
-        assert small.query_batch(queries) == expected
+        assert _maps(small.execute_batch(queries)) == expected
         assert small.statistics.evictions > 0
 
     def test_batch_rejects_unknown_method(self, engine):
         with pytest.raises(InferenceError, match="unknown evaluation method"):
-            QuerySession(engine).query_batch(self.batch_queries(4), method="shanon")
+            QuerySession(engine).execute_batch(self.batch_queries(4), method="shanon")
 
     def test_batch_shares_disjuncts_across_ucqs(self, engine):
         session = QuerySession(engine)
@@ -430,7 +436,7 @@ class TestQueryBatch:
             "Q(aid) :- Student(aid, y); Q(aid) :- Advisor(aid, a)"
         )
         single = parse_query("Q(aid) :- Student(aid, y)")
-        session.query_batch([union, single])
+        session.execute_batch([union, single])
         # The Student disjunct is shared: 2 distinct CQs, not 3.
         assert session.statistics.evaluated_disjuncts == 2
 
@@ -464,7 +470,7 @@ class TestThreadSafety:
 
         def worker(worker_id: int) -> None:
             try:
-                results[worker_id] = [session.query(query) for query in queries]
+                results[worker_id] = [session.execute(query).to_dict() for query in queries]
             except BaseException as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
