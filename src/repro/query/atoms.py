@@ -5,10 +5,18 @@ built-in comparison predicates (``<``, ``<=``, ``>``, ``>=``, ``=``, ``!=``)
 and a SQL-style ``like`` substring predicate, exactly the fragment used by
 the paper's running example (Fig. 2 uses ``n1 like '%Madden%'`` and
 ``aid2 <> aid3``).
+
+A comparison is a total function of its two values, so its truth never
+depends on which rows reach it: an order comparison between incomparable
+values (``'a' < 3``, ``None < 1``) is false, and ``like`` compares the
+``str()`` of both sides, case-sensitively, with ``%`` and ``_`` as its only
+wildcards (``_`` and ``%`` also match a newline).  The only evaluation
+error is a variable the substitution does not bind.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -29,10 +37,31 @@ _OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
+@functools.lru_cache(maxsize=1024)
+def _like_matcher(pattern: str) -> Callable[[str], bool]:
+    """Compiled SQL LIKE test: ``%`` is any substring, ``_`` any character."""
+    inner = pattern[1:-1]
+    if len(pattern) >= 2 and pattern[0] == pattern[-1] == "%" and not {"%", "_"} & set(inner):
+        return lambda text: inner in text  # '%x%': a plain substring test
+    regex = re.compile(re.escape(pattern).replace("%", ".*").replace("_", "."), re.DOTALL)
+    return lambda text: regex.fullmatch(text) is not None
+
+
 def _like(value: Any, pattern: Any) -> bool:
-    """SQL LIKE with ``%`` (any substring) and ``_`` (any character)."""
-    regex = re.escape(str(pattern)).replace("%", ".*").replace("_", ".")
-    return re.fullmatch(regex, str(value)) is not None
+    """SQL LIKE over the ``str()`` of both sides (case-sensitive)."""
+    return _like_matcher(str(pattern))(str(value))
+
+
+def _ordered(compare: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]:
+    """``compare``, false instead of ``TypeError`` on incomparable values."""
+
+    def total(left: Any, right: Any) -> bool:
+        try:
+            return compare(left, right)
+        except TypeError:
+            return False
+
+    return total
 
 
 @dataclass(frozen=True)
@@ -87,7 +116,9 @@ class Atom:
 class Comparison:
     """A built-in predicate ``left op right`` between terms.
 
-    ``op`` is one of ``= != <> < <= > >= like``.
+    ``op`` is one of ``= != <> < <= > >= like``.  ``test(left, right)`` is
+    the predicate on two values, built once here (a constant ``like``
+    pattern is compiled once, not per row).
     """
 
     left: Term
@@ -101,6 +132,20 @@ class Comparison:
         object.__setattr__(self, "left", make_term(left))
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "right", make_term(right))
+        test: Callable[[Any, Any], bool]
+        if op != "like":
+            test = _ordered(_OPERATORS[op])
+        elif is_variable(self.right):
+            test = _like
+        else:
+            # Compiled once per comparison, not once per row.
+            matcher = _like_matcher(str(self.right.value))  # type: ignore[union-attr]
+            test = lambda left, __: matcher(str(left))  # noqa: E731
+        object.__setattr__(self, "test", test)
+
+    def __reduce__(self) -> tuple:
+        # ``test`` is a closure; rebuild it rather than pickle it.
+        return (Comparison, (self.left, self.op, self.right))
 
     def variables(self) -> list[Variable]:
         """Variables occurring in the comparison."""
@@ -118,14 +163,9 @@ class Comparison:
 
     def evaluate(self, substitution: dict[Variable, Any]) -> bool:
         """Evaluate the comparison under a variable substitution."""
-        left = self._resolve(self.left, substitution)
-        right = self._resolve(self.right, substitution)
-        if self.op == "like":
-            return _like(left, right)
-        try:
-            return _OPERATORS[self.op](left, right)
-        except TypeError as exc:
-            raise EvaluationError(f"cannot compare {left!r} {self.op} {right!r}") from exc
+        return self.test(
+            self._resolve(self.left, substitution), self._resolve(self.right, substitution)
+        )
 
     def __repr__(self) -> str:
         return f"{self.left!r} {self.op} {self.right!r}"

@@ -1,18 +1,26 @@
 """Evaluation of conjunctive queries and UCQs over a database, with lineage.
 
 The evaluator runs a left-deep **hash-join pipeline** over the deterministic
-instance ``I_poss`` (the instance containing *all* possible tuples).  Atoms
-are ordered greedily (most-bound, then smallest); each join step either
+instance ``I_poss`` (the instance containing *all* possible tuples).  It
+selects first: a comparison whose variables are all first bound by one atom
+(``n1 like '%Madden%'``, ``year > 2000``) filters that atom's rows at the
+scan, before any join key is built, and it shrinks that atom's estimated
+cardinality, so a filtered atom leads the plan.  Atoms are ordered greedily
+by that estimate (most-bound, most-filtered, then smallest); the remaining
+comparisons (``aid2 <> aid3`` across two atoms) run on the joined tuple.
+Where a comparison runs never changes what it decides: an incomparable pair
+is false wherever it meets (see :class:`~repro.query.atoms.Comparison`).
+Each join step either
 
 * **index-probes** the atom's relation when the intermediate result is small
   relative to the table (the index-nested-loop regime that keeps point
   queries fast), or
-* **builds a hash table** over the atom's rows — with constants pushed down
-  into the scan — and probes it with the intermediate result; when the build
-  side exceeds :data:`DEFAULT_BUILD_BUDGET` rows, the join falls back to
-  **grace partitioning**: build and probe sides are split by a deterministic
-  hash of the join key and joined partition by partition, bounding the
-  resident build-table size at ``build_side / GRACE_PARTITIONS``.
+* **builds a hash table** over the atom's rows — with constants and row
+  filters pushed down into the scan — and probes it with the intermediate
+  result; when the build side exceeds :data:`DEFAULT_BUILD_BUDGET` rows, the
+  join falls back to **grace partitioning**: build and probe sides are split
+  by a deterministic hash of the join key and joined partition by partition,
+  bounding the resident build-table size at ``build_side / GRACE_PARTITIONS``.
 
 Intermediate tuples are projected onto the variables still needed
 downstream, so wide joins do not drag dead columns along.  For every answer
@@ -32,7 +40,8 @@ probabilities — on either backend, across processes.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Iterator, Mapping, Protocol, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 from repro.db.database import Database
 from repro.db.table import Row
@@ -51,6 +60,10 @@ GRACE_PARTITIONS = 16
 
 #: Intermediate-result size up to which index probing beats a hash build.
 INDEX_PROBE_THRESHOLD = 64
+
+#: Estimated fraction of an atom's rows that pass one ``like`` or range
+#: filter (join-order statistics only; never changes an answer).
+FILTER_SELECTIVITY = 0.1
 
 
 class LineageProvider(Protocol):
@@ -115,6 +128,18 @@ class QueryResult:
             self._answers.setdefault(answer, set()).update(clauses)
 
 
+def _row_filters(
+    comparisons: Sequence[Comparison], atom: Atom, bound: set[Variable]
+) -> list[Comparison]:
+    """The comparisons whose variables are all first bound by ``atom``.
+
+    Such a comparison is decided by one row of ``atom`` alone, so it filters
+    that atom's rows at the scan, before any join work is spent on them.
+    """
+    fresh = set(atom.variables()) - bound
+    return [c for c in comparisons if all(v in fresh for v in c.variables())]
+
+
 def _order_atoms(query: ConjunctiveQuery, database: Database) -> list[Atom]:
     """Greedy join order by estimated output cardinality.
 
@@ -128,6 +153,12 @@ def _order_atoms(query: ConjunctiveQuery, database: Database) -> list[Atom]:
     turning the whole evaluation quadratic), while ``Wrote`` on ``aid1``
     multiplies only by one author's papers.  Column distinct counts are the
     cheap statistic that tells these apart.
+
+    Each comparison that would filter the atom's rows at the scan shrinks
+    the estimate further: ``var = constant`` by ``1 / distinct(T, var)``,
+    ``like``, ranges and every other comparison but ``<>`` by
+    :data:`FILTER_SELECTIVITY`.  So ``Author(aid1, n1), n1 like '%Madden%'``
+    leads the plan and the rest of the join runs as index probes.
     """
     stats: dict[tuple[str, int], int] = {}
 
@@ -146,6 +177,14 @@ def _order_atoms(query: ConjunctiveQuery, database: Database) -> list[Atom]:
         for position, term in enumerate(atom.terms):
             if not is_variable(term) or term in bound:
                 estimate /= distinct(atom, position)
+        for comparison in _row_filters(query.comparisons, atom, bound):
+            operands = comparison.variables()
+            if comparison.op in ("!=", "<>") or not operands:
+                continue
+            if comparison.op in ("=", "==") and len(operands) == 1:
+                estimate /= distinct(atom, atom.terms.index(operands[0]))
+            else:
+                estimate *= FILTER_SELECTIVITY
         return (estimate, size, index)
 
     remaining = list(enumerate(query.atoms))
@@ -175,8 +214,16 @@ def _grace_partition(key: tuple[Any, ...]) -> int:
 _Item = tuple[tuple[Any, ...], frozenset[int]]
 
 
+def _constant(value: Any) -> Callable[[Row], Any]:
+    return lambda row: value
+
+
+def _same_values(p: int, q: int) -> Callable[[Row], bool]:
+    return lambda row: row[p] == row[q]
+
+
 class _JoinStep:
-    """One atom of the pipeline: term analysis + emit logic for matches."""
+    """One atom of the pipeline: term analysis, row filters and emit logic."""
 
     def __init__(
         self,
@@ -188,28 +235,42 @@ class _JoinStep:
     ) -> None:
         self.atom = atom
         self.slots = slots
-        self.comparisons = comparisons
         self.provider = provider
         self.const_bindings: dict[int, Any] = {}
         self.join_by_pos: list[tuple[int, int]] = []  # (row position, env slot)
         self.first_pos: dict[Variable, int] = {}  # new variable -> first position
-        self.dup_checks: list[tuple[int, int]] = []  # repeated new variable
+        dup_checks: list[tuple[int, int]] = []  # repeated new variable
         for position, term in enumerate(atom.terms):
             if is_variable(term):
                 if term in slots:
                     self.join_by_pos.append((position, slots[term]))
                 elif term in self.first_pos:
-                    self.dup_checks.append((position, self.first_pos[term]))
+                    dup_checks.append((position, self.first_pos[term]))
                 else:
                     self.first_pos[term] = position
             else:
                 self.const_bindings[position] = term.value  # type: ignore[union-attr]
-        self.comp_vars = {v for c in comparisons for v in c.variables()}
+        # Checks one row decides alone run at the scan, before any join work:
+        # repeated variables, then comparisons over this atom's fresh
+        # variables.  The other comparisons need the joined tuple (``emit``).
+        row_filters = _row_filters(comparisons, atom, set(slots))
+        self.filters = [_same_values(p, q) for p, q in dup_checks]
+        self.filters += [self._row_test(c) for c in row_filters]
+        self.comparisons = [c for c in comparisons if c not in row_filters]
+        self.comp_vars = {v for c in self.comparisons for v in c.variables()}
         # Output layout: surviving old slots (in order), then new variables
         # (in first-occurrence order), filtered to what is needed downstream.
         self.out_layout = [v for v in slots if v in keep]
         self.out_layout += [v for v in self.first_pos if v in keep]
         self.out_slots = {v: i for i, v in enumerate(self.out_layout)}
+
+    def _row_test(self, comparison: Comparison) -> Callable[[Row], bool]:
+        test = comparison.test
+        left, right = (
+            itemgetter(self.first_pos[term]) if is_variable(term) else _constant(term.value)
+            for term in (comparison.left, comparison.right)
+        )
+        return lambda row: test(left(row), right(row))
 
     def _value(self, variable: Variable, env: tuple[Any, ...], row: Row) -> Any:
         slot = self.slots.get(variable)
@@ -217,9 +278,11 @@ class _JoinStep:
             return env[slot]
         return row[self.first_pos[variable]]
 
-    def row_consistent(self, row: Row) -> bool:
-        """Within-atom checks a raw scan does not cover (repeated variables)."""
-        return all(row[p] == row[q] for p, q in self.dup_checks)
+    def filtered(self, rows: Iterable[Row]) -> Iterable[Row]:
+        """The rows that pass every row filter (lazily, at C speed)."""
+        for test in self.filters:
+            rows = filter(test, rows)
+        return rows
 
     def emit(self, env: tuple[Any, ...], clause: frozenset[int], row: Row, out: list[_Item]) -> None:
         """Extend one intermediate with one matching row (filters + lineage)."""
@@ -246,20 +309,17 @@ def _index_probe(step: _JoinStep, items: list[_Item], table: Any) -> list[_Item]
         bindings = dict(step.const_bindings)
         for position, slot in step.join_by_pos:
             bindings[position] = env[slot]
-        for row in table.lookup(bindings):
-            if step.row_consistent(row):
-                step.emit(env, clause, row, out)
+        for row in step.filtered(table.lookup(bindings)):
+            step.emit(env, clause, row, out)
     return out
 
 
-def _build_rows(step: _JoinStep, table: Any, partition: int | None) -> Iterator[Row]:
-    """Scan the build side with constants pushed down, optionally partitioned."""
-    for row in table.scan(dict(step.const_bindings)):
-        if not step.row_consistent(row):
-            continue
-        if partition is not None and _grace_partition(step.build_key(row)) != partition:
-            continue
-        yield row
+def _build_rows(step: _JoinStep, table: Any, partition: int | None) -> Iterable[Row]:
+    """Scan the build side with constants pushed down and row filters applied."""
+    rows = step.filtered(table.scan(dict(step.const_bindings)))
+    if partition is None:
+        return rows
+    return (row for row in rows if _grace_partition(step.build_key(row)) == partition)
 
 
 def _hash_join(
@@ -300,12 +360,27 @@ def evaluate_cq(
     ``build_budget`` caps the resident build side of each hash join before
     grace partitioning kicks in (default :data:`DEFAULT_BUILD_BUDGET`).
     """
-    provider = lineage or NoLineage()
-    budget = DEFAULT_BUILD_BUDGET if build_budget is None else build_budget
     if result is None:
         result = QueryResult(query.head)
-    ordered_atoms = _order_atoms(query, database)
+    return _run_pipeline(
+        query,
+        _order_atoms(query, database),
+        database,
+        lineage or NoLineage(),
+        result,
+        DEFAULT_BUILD_BUDGET if build_budget is None else build_budget,
+    )
 
+
+def _run_pipeline(
+    query: ConjunctiveQuery,
+    ordered_atoms: Sequence[Atom],
+    database: Database,
+    provider: LineageProvider,
+    result: QueryResult,
+    budget: int,
+) -> QueryResult:
+    """Run the left-deep pipeline over ``ordered_atoms`` (any permutation)."""
     # Pre-compute which comparisons become checkable after each join step.
     checked: set[Comparison] = set()
     comparison_schedule: list[list[Comparison]] = []

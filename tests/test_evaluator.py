@@ -173,3 +173,47 @@ class TestPossibleWorlds:
             if evaluate_ucq(query, world).boolean_true:
                 total += weight
         assert by_lineage == pytest.approx(total)
+
+
+class TestSelectionFirst:
+    """Single-atom comparisons filter at the scan and lead the join order."""
+
+    @pytest.mark.parametrize("backend", [None, "sqlite"])
+    def test_like_query_touches_a_bounded_number_of_rows(self, backend, monkeypatch):
+        from repro.db.sqlite_backend import SqliteTable
+        from repro.db.table import Table
+        from repro.dblp import DblpConfig, build_mvdb, students_of_advisor
+        from repro.query import evaluator
+
+        mvdb = build_mvdb(DblpConfig(group_count=24, seed=0), backend=backend).mvdb
+        touched: list[tuple[str, int]] = []  # (relation, rows returned), in call order
+
+        def counting(method):
+            def wrapper(table, *args, **kwargs):
+                rows = list(method(table, *args, **kwargs))
+                touched.append((table.name, len(rows)))
+                return rows
+
+            return wrapper
+
+        for cls in (Table, SqliteTable):
+            monkeypatch.setattr(cls, "scan", counting(cls.scan))
+            monkeypatch.setattr(cls, "lookup", counting(cls.lookup))
+        emitted = []
+        emit = evaluator._JoinStep.emit
+        monkeypatch.setattr(
+            evaluator._JoinStep,
+            "emit",
+            lambda step, *args: (emitted.append(step.atom.relation), emit(step, *args)),
+        )
+
+        result = evaluate_ucq(students_of_advisor("Advisor 2"), mvdb.database, mvdb.base)
+        # Every Student-year candidate row of a matched student is a derivation
+        # of its own, so the budget is per derivation, not per answer.
+        derivations = sum(len(lineage) for lineage in result.lineages().values())
+        assert len(result) > 0
+        assert touched[0][0] == "Author"
+        assert emitted[0] == "Author"
+        assert len(emitted) <= 2 * derivations
+        # Past the leading scan, only index probes for the matched rows.
+        assert sum(count for __, count in touched[1:]) <= 2 * derivations

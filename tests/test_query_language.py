@@ -1,8 +1,10 @@
 """Unit tests for terms, atoms, conjunctive queries, UCQs and the parser."""
 
+import pickle
+
 import pytest
 
-from repro.errors import ParseError, QueryError
+from repro.errors import EvaluationError, ParseError, QueryError
 from repro.query import (
     Atom,
     Comparison,
@@ -68,6 +70,65 @@ class TestComparison:
     def test_unknown_operator_rejected(self):
         with pytest.raises(QueryError):
             Comparison("x", "~~", "y")
+
+    @pytest.mark.parametrize(
+        "value, pattern, expected",
+        [
+            ("a\nb", "%b", True),  # '%' spans a newline
+            ("a\nb", "a_b", True),  # '_' matches a newline
+            ("a\nb", "%\n%", True),
+            ("abc", "%", True),
+            ("", "%", True),
+            ("", "_", False),
+            ("abc", "%c", True),
+            ("abc", "a%", True),
+            ("abc", "_bc", True),
+            ("abc", "ab_", True),
+            ("abc", "_c", False),
+            ("abc", "%b%", True),
+            ("abc", "%d%", False),
+            ("a.c", "a.c", True),  # regex metacharacters are literal
+            ("abc", "a.c", False),
+            ("aaa", "a*", False),
+            ("a*", "a*", True),
+            ("f(x)", "%(x)", True),
+            ("f[x", "f[%", True),
+            ("a\\b", "a\\b", True),
+            (42, "4_", True),  # non-str values are str()-coerced
+            (1.5, "%.5", True),
+            (None, "None", True),
+            ("Madden", "%madden%", False),  # case-sensitive
+            ("MADDEN", "%MADDEN%", True),
+        ],
+    )
+    def test_like_table(self, value, pattern, expected):
+        comparison = Comparison("n", "like", Constant(pattern))
+        assert comparison.evaluate({Variable("n"): value}) is expected
+        # A pattern bound at run time follows the same rules.
+        pattern_var = Comparison("n", "like", "p")
+        assert pattern_var.evaluate({Variable("n"): value, Variable("p"): pattern}) is expected
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    @pytest.mark.parametrize("left, right", [("a", 3), (3, "a"), (None, 1), (1, None), ((1,), 2)])
+    def test_incomparable_order_comparison_is_false(self, op, left, right):
+        comparison = Comparison("x", op, "y")
+        assert comparison.evaluate({Variable("x"): left, Variable("y"): right}) is False
+
+    def test_mixed_type_equality(self):
+        bind = {Variable("x"): "a", Variable("y"): 3}
+        assert Comparison("x", "=", "y").evaluate(bind) is False
+        assert Comparison("x", "<>", "y").evaluate(bind) is True
+        assert Comparison("x", "<", "y").evaluate({Variable("x"): 1, Variable("y"): 1.5})
+
+    def test_unbound_variable_is_the_only_error(self):
+        with pytest.raises(EvaluationError):
+            Comparison("x", "<", "y").evaluate({Variable("x"): 1})
+
+    def test_comparison_pickles(self):
+        comparison = Comparison("n", "like", Constant("%Madden%"))
+        restored = pickle.loads(pickle.dumps(comparison))
+        assert restored == comparison
+        assert restored.evaluate({Variable("n"): "Sam Madden"})
 
 
 class TestConjunctiveQuery:
