@@ -165,6 +165,7 @@ class SqliteTable:
         self._columns = [f"c{i}" for i in range(schema.arity)]
         self._indexed: set[tuple[int, ...]] = set()
         self._count = 0
+        self._distinct: dict[int, int] = {}  # position -> distinct values
         column_list = ", ".join(self._columns)
         with backend.lock:
             cursor = backend.connection.cursor()
@@ -215,6 +216,7 @@ class SqliteTable:
             inserted = cursor.rowcount > 0
         if inserted:
             self._count += 1
+            self._distinct.clear()
         return inserted
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -234,6 +236,8 @@ class SqliteTable:
                 raise
             added = connection.total_changes - before
         self._count += added
+        if added:
+            self._distinct.clear()
         return added
 
     def delete(self, row: Sequence[Any]) -> bool:
@@ -249,6 +253,7 @@ class SqliteTable:
             deleted = cursor.rowcount > 0
         if deleted:
             self._count -= 1
+            self._distinct.clear()
         return deleted
 
     def __contains__(self, row: Sequence[Any]) -> bool:
@@ -282,14 +287,21 @@ class SqliteTable:
             return cursor.fetchall()
 
     def distinct_count(self, position: int) -> int:
-        """Number of distinct values in one column (join-order statistics)."""
-        # COUNT(DISTINCT c) skips NULLs; the subselect counts NULL as one
-        # value, exactly like the memory backend's set-of-values count.
-        with self.backend.lock:
-            cursor = self.backend.connection.execute(
-                f"SELECT COUNT(*) FROM (SELECT DISTINCT c{position} FROM {self._sql_name})"
-            )
-            return cursor.fetchone()[0]
+        """Number of distinct values in one column (join-order statistics).
+
+        Memoised per column until the next insert or delete that changes a
+        row, so the planner's repeated lookups issue no SQL.
+        """
+        count = self._distinct.get(position)
+        if count is None:
+            # COUNT(DISTINCT c) skips NULLs; the subselect counts NULL as one
+            # value, exactly like the memory backend's set-of-values count.
+            with self.backend.lock:
+                cursor = self.backend.connection.execute(
+                    f"SELECT COUNT(*) FROM (SELECT DISTINCT c{position} FROM {self._sql_name})"
+                )
+                count = self._distinct[position] = cursor.fetchone()[0]
+        return count
 
     # ---------------------------------------------------------------- lookups
     def _where(self, positions: Sequence[int]) -> str:

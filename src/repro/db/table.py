@@ -40,6 +40,7 @@ class Table:
         self._validate = validate
         self._rows: dict[Row, None] = {}
         self._indexes: dict[tuple[int, ...], dict[tuple[Any, ...], list[Row]]] = {}
+        self._distinct: dict[int, int] = {}  # position -> distinct values
         for row in rows:
             self.insert(row)
 
@@ -58,6 +59,7 @@ class Table:
         if row_tuple in self._rows:
             return False
         self._rows[row_tuple] = None
+        self._distinct.clear()
         for positions, index in self._indexes.items():
             key = tuple(row_tuple[p] for p in positions)
             index.setdefault(key, []).append(row_tuple)
@@ -73,6 +75,7 @@ class Table:
         if row_tuple not in self._rows:
             return False
         del self._rows[row_tuple]
+        self._distinct.clear()
         for positions, index in self._indexes.items():
             key = tuple(row_tuple[p] for p in positions)
             bucket = index.get(key)
@@ -138,11 +141,20 @@ class Table:
             yield from self.lookup(bindings)
 
     def distinct_count(self, position: int) -> int:
-        """Number of distinct values in one column (join-order statistics)."""
-        index = self._indexes.get((position,))
-        if index is not None:
-            return len(index)
-        return len({row[position] for row in self._rows})
+        """Number of distinct values in one column (join-order statistics).
+
+        Memoised per column until the next successful insert or delete, so
+        the planner's repeated lookups cost a dict probe, not a column scan.
+        """
+        count = self._distinct.get(position)
+        if count is None:
+            index = self._indexes.get((position,))
+            if index is not None:
+                count = len(index)
+            else:
+                count = len({row[position] for row in self._rows})
+            self._distinct[position] = count
+        return count
 
     def project(self, attributes: Sequence[str]) -> list[Row]:
         """Distinct projection onto the given attributes (preserving order)."""

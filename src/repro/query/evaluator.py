@@ -5,9 +5,11 @@ instance ``I_poss`` (the instance containing *all* possible tuples).  It
 selects first: a comparison whose variables are all first bound by one atom
 (``n1 like '%Madden%'``, ``year > 2000``) filters that atom's rows at the
 scan, before any join key is built, and it shrinks that atom's estimated
-cardinality, so a filtered atom leads the plan.  Atoms are ordered greedily
-by that estimate (most-bound, most-filtered, then smallest); the remaining
-comparisons (``aid2 <> aid3`` across two atoms) run on the joined tuple.
+cardinality, so a filtered atom leads the plan.  The atom order is the
+left-deep order of least estimated cost — the sum of the intermediate sizes
+its join steps read — found by an exact dynamic program over atom subsets
+(at most :data:`MAX_JOIN_ATOMS` atoms); the remaining comparisons
+(``aid2 <> aid3`` across two atoms) run on the joined tuple.
 Where a comparison runs never changes what it decides: an incomparable pair
 is false wherever it meets (see :class:`~repro.query.atoms.Comparison`).
 Each join step either
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import zlib
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 from repro.db.database import Database
 from repro.db.table import Row
@@ -64,6 +66,13 @@ INDEX_PROBE_THRESHOLD = 64
 #: Estimated fraction of an atom's rows that pass one ``like`` or range
 #: filter (join-order statistics only; never changes an answer).
 FILTER_SELECTIVITY = 0.1
+
+#: Most atoms one conjunctive query may join: the join-order search visits
+#: every subset of the atoms, so its cost grows as ``n * 2**n``.
+MAX_JOIN_ATOMS = 12
+
+#: One join-order prefix: (estimated cost, estimated rows, atom indexes).
+_Plan = tuple[float, float, tuple[int, ...]]
 
 
 class LineageProvider(Protocol):
@@ -129,7 +138,7 @@ class QueryResult:
 
 
 def _row_filters(
-    comparisons: Sequence[Comparison], atom: Atom, bound: set[Variable]
+    comparisons: Sequence[Comparison], atom: Atom, bound: AbstractSet[Variable]
 ) -> list[Comparison]:
     """The comparisons whose variables are all first bound by ``atom``.
 
@@ -140,11 +149,12 @@ def _row_filters(
     return [c for c in comparisons if all(v in fresh for v in c.variables())]
 
 
-def _order_atoms(query: ConjunctiveQuery, database: Database) -> list[Atom]:
-    """Greedy join order by estimated output cardinality.
+def _fanout(
+    query: ConjunctiveQuery, atom: Atom, bound: frozenset[Variable], database: Database
+) -> float:
+    """Estimated rows one intermediate tuple gains by joining ``atom`` next.
 
-    At each step the atom with the smallest *estimated matches per probe* is
-    chosen: ``|T| / prod(distinct(T, p))`` over every position ``p`` that is a
+    ``|T| / prod(distinct(T, p))`` over every position ``p`` that is a
     constant or an already-bound variable.  Counting bound *positions* alone
     is not enough — after ``Advisor(aid1, aid2), Student(aid1, year)`` both
     ``Pub(pid, title, year)`` and ``Wrote(aid1, pid)`` have exactly one bound
@@ -160,42 +170,117 @@ def _order_atoms(query: ConjunctiveQuery, database: Database) -> list[Atom]:
     :data:`FILTER_SELECTIVITY`.  So ``Author(aid1, n1), n1 like '%Madden%'``
     leads the plan and the rest of the join runs as index probes.
     """
-    stats: dict[tuple[str, int], int] = {}
+    if atom.relation not in database:
+        return 0.0
+    table = database.table(atom.relation)
+    estimate = float(len(table))
+    for position, term in enumerate(atom.terms):
+        if not is_variable(term) or term in bound:
+            estimate /= max(1, table.distinct_count(position))
+    for comparison in _row_filters(query.comparisons, atom, bound):
+        operands = comparison.variables()
+        if comparison.op in ("!=", "<>") or not operands:
+            continue
+        if comparison.op in ("=", "==") and len(operands) == 1:
+            estimate /= max(1, table.distinct_count(atom.terms.index(operands[0])))
+        else:
+            estimate *= FILTER_SELECTIVITY
+    return estimate
 
-    def distinct(atom: Atom, position: int) -> int:
-        key = (atom.relation, position)
-        if key not in stats:
-            table = database.table(atom.relation)
-            stats[key] = table.distinct_count(position)
-        return max(1, stats[key])
 
-    def selectivity(atom: Atom, bound: set[Variable], index: int) -> tuple:
-        if atom.relation not in database:
-            return (0.0, 0, index)
-        size = len(database.table(atom.relation))
-        estimate = float(size)
-        for position, term in enumerate(atom.terms):
-            if not is_variable(term) or term in bound:
-                estimate /= distinct(atom, position)
-        for comparison in _row_filters(query.comparisons, atom, bound):
-            operands = comparison.variables()
-            if comparison.op in ("!=", "<>") or not operands:
-                continue
-            if comparison.op in ("=", "==") and len(operands) == 1:
-                estimate /= distinct(atom, atom.terms.index(operands[0]))
-            else:
-                estimate *= FILTER_SELECTIVITY
-        return (estimate, size, index)
+def _plan_cost(query: ConjunctiveQuery, order: Sequence[Atom], database: Database) -> float:
+    """Estimated cost of one left-deep order: the tuples its join steps read.
 
-    remaining = list(enumerate(query.atoms))
-    ordered: list[Atom] = []
-    bound: set[Variable] = set()
-    while remaining:
-        remaining.sort(key=lambda pair: selectivity(pair[1], bound, pair[0]))
-        __, chosen = remaining.pop(0)
-        ordered.append(chosen)
-        bound.update(chosen.variables())
-    return ordered
+    The pipeline starts from one empty tuple, and each step turns ``rows``
+    input tuples into ``rows * _fanout(atom)``.  The cost sums every step's
+    input: the start tuple, then each intermediate result but the last,
+    which is the answer set (the same whatever the order).
+    """
+    cost, rows = 0.0, 1.0
+    bound: frozenset[Variable] = frozenset()
+    for atom in order:
+        cost += rows
+        rows *= _fanout(query, atom, bound, database)
+        bound = bound.union(atom.variables())
+    return cost
+
+
+def _admit(frontier: list[_Plan], plan: _Plan) -> None:
+    """Add ``plan`` to a subset's frontier unless a kept prefix is no worse.
+
+    "No worse" means no higher in cost, in rows and in atom-index tuple at
+    once; the kept prefixes that ``plan`` is no worse than are dropped.
+    """
+    cost, rows, order = plan
+    for kept in frontier:
+        if kept[0] <= cost and kept[1] <= rows and kept[2] <= order:
+            return
+    frontier[:] = [
+        kept for kept in frontier if not (cost <= kept[0] and rows <= kept[1] and order <= kept[2])
+    ]
+    frontier.append(plan)
+
+
+def _order_atoms(query: ConjunctiveQuery, database: Database) -> list[Atom]:
+    """The left-deep join order of least :func:`_plan_cost` (exact subset DP).
+
+    Selinger-style dynamic programming over atom subsets: extending a prefix
+    that has joined the subset ``S`` by an atom ``a`` outside it adds the
+    prefix's rows to its cost (the tuples that step reads) and multiplies
+    them by ``_fanout(a)``, which depends only on the variables ``S`` binds.
+    The rows themselves depend on the order that joined ``S`` (an atom
+    divides by its own distinct count on a shared variable), so a cheaper
+    prefix may carry more rows and lose later.  Each subset therefore keeps
+    every prefix that no other one matches or beats in cost, rows and
+    atom-index tuple at once — in practice a handful.  The cheapest full
+    plan wins, ties broken on the atom-index tuple, so the chosen cost is the
+    minimum over all ``n!`` permutations, reached in about ``n * 2**n``
+    extensions.  A query with more than :data:`MAX_JOIN_ATOMS` atoms raises
+    :class:`~repro.errors.EvaluationError`.
+    """
+    atoms = query.atoms
+    if len(atoms) > MAX_JOIN_ATOMS:
+        raise EvaluationError(
+            f"query {query.name!r} joins {len(atoms)} atoms; the join-order "
+            f"search is limited to {MAX_JOIN_ATOMS}"
+        )
+    bits: dict[Variable, int] = {}  # one bit per variable: bound sets are ints
+    masks: list[int] = []
+    for atom in atoms:
+        mask = 0
+        for variable in atom.variables():
+            mask |= bits.setdefault(variable, 1 << len(bits))
+        masks.append(mask)
+    subsets = 1 << len(atoms)
+    bound = [0] * subsets
+    plans: list[list[_Plan]] = [[] for __ in range(subsets)]
+    plans[0].append((0.0, 1.0, ()))
+    fanouts: dict[tuple[int, int], float] = {}  # (atom, its bound variables)
+    for joined in range(subsets):  # a subset precedes its supersets
+        frontier = plans[joined]
+        if joined:
+            lowest = joined & -joined
+            bound[joined] = bound[joined ^ lowest] | masks[lowest.bit_length() - 1]
+        free = subsets - 1 - joined
+        while free:
+            bit = free & -free
+            free ^= bit
+            index = bit.bit_length() - 1
+            seen = bound[joined] & masks[index]
+            key = (index, seen)
+            fanout = fanouts.get(key)
+            if fanout is None:
+                variables = frozenset(v for v, b in bits.items() if b & seen)
+                fanout = fanouts[key] = _fanout(query, atoms[index], variables, database)
+            grown = plans[joined | bit]
+            for cost, rows, order in frontier:
+                plan = (cost + rows, rows * fanout, order + (index,))
+                if grown:
+                    _admit(grown, plan)
+                else:
+                    grown.append(plan)
+    __, __, best = min(plans[-1], key=lambda plan: (plan[0], plan[2]))
+    return [atoms[index] for index in best]
 
 
 def _pending_comparisons(

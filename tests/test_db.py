@@ -236,3 +236,48 @@ class TestCsvEdgeCases:
         assert loaded.backend.name == "sqlite"
         assert sorted(loaded.rows("Author")) == [(1, "Ada"), (2, "Alan")]
         loaded.close()
+
+
+class TestDistinctCountMemo:
+    """``distinct_count`` is memoised, and every write that changes a row clears it."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_memo_matches_a_fresh_recount_after_every_write(self, backend):
+        db = Database(backend=backend)
+        table = db.create_table("R", ["a", "b"], [(1, "x"), (2, "x"), (2, "y")])
+
+        def check(expected):
+            recount = [len({row[p] for row in table.rows()}) for p in (0, 1)]
+            assert [table.distinct_count(p) for p in (0, 1)] == recount == expected
+
+        check([2, 2])  # fills the memo
+        table.insert((3, "z"))
+        check([3, 3])
+        table.insert_many([(4, "z"), (5, "w")])
+        check([5, 4])
+        table.delete((3, "z"))  # the last 3; "z" survives in (4, "z")
+        check([4, 4])
+        table.lookup({1: "w"})  # memory: an index on b now serves its count
+        table.delete((5, "w"))  # the last 5 and the last "w"
+        check([3, 3])
+        assert table.insert((4, "z")) is False and table.delete((9, "q")) is False
+        check([3, 3])
+        db.close()
+
+    def test_a_repeated_sqlite_count_issues_no_sql(self):
+        db = Database(backend="sqlite")
+        table = db.create_table("R", ["a"], [(1,), (2,)])
+        statements: list[str] = []
+        db.backend.connection.set_trace_callback(statements.append)
+        try:
+            assert table.distinct_count(0) == 2
+            issued = len(statements)
+            assert issued >= 1
+            assert table.distinct_count(0) == 2
+            assert len(statements) == issued
+            table.insert((3,))
+            assert table.distinct_count(0) == 3
+            assert len(statements) > issued + 1  # the insert, then one recount
+        finally:
+            db.backend.connection.set_trace_callback(None)
+            db.close()

@@ -217,3 +217,100 @@ class TestSelectionFirst:
         assert len(emitted) <= 2 * derivations
         # Past the leading scan, only index probes for the matched rows.
         assert sum(count for __, count in touched[1:]) <= 2 * derivations
+
+
+#: The six analytical shapes of the broad benchmark workload, with fixed
+#: parameters for 24 groups (~96 author ids).
+BROAD_QUERIES = [
+    "Q :- Student(aid, year), Advisor(aid, a), year > 2001, aid >= 10, aid < 27",
+    "Q(a) :- Student(aid, year), Advisor(aid, a), year >= 2001, year <= 2003, "
+    "aid >= 10, aid < 33",
+    "Q(year) :- Student(aid, year), Advisor(aid, a), aid >= 10, aid < 17",
+    "Q(inst) :- Affiliation(aid, inst), aid >= 10, aid < 62",
+    "Q :- Affiliation(aid, inst), aid >= 10, aid < 62",
+    "Q(aid) :- Student(aid, year), Advisor(aid, a), year = 2003, aid >= 10, aid < 34",
+]
+
+
+class _EmitBudgetSpent(Exception):
+    pass
+
+
+class TestPlanRegret:
+    """The chosen join order never emits much more than the best permutation."""
+
+    @pytest.fixture(scope="class")
+    def mvdb(self):
+        from repro.dblp import DblpConfig, build_mvdb
+
+        return build_mvdb(DblpConfig(group_count=24, seed=0)).mvdb
+
+    @staticmethod
+    def _queries(mvdb):
+        from repro.dblp import workload
+
+        queries = [view.query for view in mvdb.views]
+        queries += [
+            workload.students_of_advisor("Advisor 5"),
+            workload.advisor_of_student("Student 5-0"),
+            workload.affiliation_of_author("Student 5-1"),
+            workload.madden_query("Advisor 5"),
+        ]
+        queries += [parse_query(text) for text in BROAD_QUERIES]
+        return [cq for query in queries for cq in query.disjuncts]
+
+    def test_chosen_plan_emits_at_most_twice_the_cheapest_permutation(self, mvdb, monkeypatch):
+        from itertools import permutations
+
+        from repro.query import evaluator
+
+        emitted = [0]
+        budget = [float("inf")]
+        emit = evaluator._JoinStep.emit
+
+        def counting(step, *args):
+            emitted[0] += 1
+            if emitted[0] >= budget[0]:
+                raise _EmitBudgetSpent
+            emit(step, *args)
+
+        monkeypatch.setattr(evaluator._JoinStep, "emit", counting)
+
+        def emits(cq, order, limit=float("inf")):
+            emitted[0], budget[0] = 0, limit
+            try:
+                evaluator._run_pipeline(
+                    cq, order, mvdb.database, mvdb.base, evaluator.QueryResult(cq.head),
+                    evaluator.DEFAULT_BUILD_BUDGET,
+                )
+            except _EmitBudgetSpent:
+                pass
+            return emitted[0]
+
+        for cq in self._queries(mvdb):
+            chosen = emits(cq, evaluator._order_atoms(cq, mvdb.database))
+            # A permutation only matters once it emits fewer than half as many
+            # rows, so each run stops as soon as it has spent that many.
+            for order in permutations(cq.atoms):
+                cheaper = emits(cq, order, limit=chosen / 2)
+                assert 2 * cheaper >= chosen, (cq, order, chosen, cheaper)
+
+
+class TestJoinAtomCeiling:
+    """A conjunctive query joining more than ``MAX_JOIN_ATOMS`` atoms is refused."""
+
+    @staticmethod
+    def _chain(atoms):
+        body = ", ".join(f"R(x{i}, x{i + 1})" for i in range(atoms))
+        return parse_query(f"Q(x0) :- {body}")
+
+    def test_thirteen_atoms_raise_and_twelve_plan(self):
+        from repro.errors import EvaluationError
+        from repro.query.evaluator import MAX_JOIN_ATOMS
+
+        db = Database()
+        db.create_table("R", ["a", "b"], [(i, i + 1) for i in range(20)])
+        result = evaluate_ucq(self._chain(MAX_JOIN_ATOMS), db)
+        assert sorted(result.answers()) == [(i,) for i in range(20 - MAX_JOIN_ATOMS + 1)]
+        with pytest.raises(EvaluationError, match="limited to 12"):
+            evaluate_ucq(self._chain(MAX_JOIN_ATOMS + 1), db)

@@ -9,6 +9,8 @@ comparison-free join and filtering each derivation afterwards.  Since the
 evaluator pushes single-atom comparisons into the scan and lets them steer
 the join order, this pins down that where a comparison runs never changes
 what it decides (an incomparable pair is simply false, wherever it meets).
+A second property pins the planner: the order it chooses has the least
+estimated cost of all permutations, ties broken on the atom-index tuple.
 """
 
 from itertools import permutations
@@ -22,6 +24,7 @@ from repro.query.evaluator import (
     DEFAULT_BUILD_BUDGET,
     QueryResult,
     _order_atoms,
+    _plan_cost,
     _run_pipeline,
     evaluate_cq,
 )
@@ -44,9 +47,9 @@ def instances(draw):
 
 
 @st.composite
-def queries(draw):
+def queries(draw, max_atoms=3):
     atoms = []
-    for __ in range(draw(st.integers(1, 3))):
+    for __ in range(draw(st.integers(1, max_atoms))):
         relation = draw(st.sampled_from(sorted(RELATIONS)))
         terms = [
             draw(st.sampled_from(VARIABLES))
@@ -105,3 +108,16 @@ def test_every_order_and_backend_matches_the_post_join_filter(spec, query, budge
             result = QueryResult(query.head)
             _run_pipeline(query, order, indb.database, indb, result, budget)
             assert result.lineages() == expected, (query, order)
+
+
+@given(instances(), queries(max_atoms=5))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_chosen_order_has_the_least_plan_cost(spec, query):
+    atoms = query.atoms
+    for indb in (build(spec, None), build(spec, "sqlite")):
+        database = indb.database
+        best = min(
+            permutations(range(len(atoms))),
+            key=lambda order: (_plan_cost(query, [atoms[i] for i in order], database), order),
+        )
+        assert _order_atoms(query, database) == [atoms[i] for i in best], query

@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.dblp.config import DblpConfig
 from repro.dblp.workload import build_mvdb
-from repro.errors import AdmissionError, InferenceError, ParseError, ServingError
+from repro.errors import AdmissionError, EvaluationError, InferenceError, ParseError, ServingError
 from repro.query.parser import parse_query, to_datalog
 from repro.results import QueryResult
 from repro.serving.dispatch import Dispatcher
@@ -255,6 +255,21 @@ class TestProtocolErrors:
         assert json.loads(payload)["error"]["type"] == "parse_error"
         with pytest.raises(ParseError):
             remote.query("Q(x) :- !!!")
+
+    def test_a_join_past_the_atom_ceiling_is_a_typed_400(self, server, remote):
+        body = ", ".join(f"Advisor(a{i}, a{i + 1})" for i in range(13))
+        query = f"Q(a0) :- {body}"
+        status, __, payload = _raw_request(
+            server,
+            "POST",
+            "/v1/query",
+            body=json.dumps({"query": query}),
+            headers={"Content-Type": "application/json"},
+        )
+        assert status == 400
+        assert json.loads(payload)["error"]["type"] == "evaluation_error"
+        with pytest.raises(EvaluationError, match="limited to 12"):
+            remote.query(query)
 
     def test_unknown_method_maps_to_typed_400(self, remote):
         with pytest.raises(InferenceError, match="unknown evaluation method"):
