@@ -23,11 +23,14 @@ plus anything registered by third parties via
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.core.mvdb import MVDB
 from repro.core.pending import PendingExtend, canonical_facts
-from repro.core.translate import Translation, _w_disjuncts_for_view, translate
+from repro.core.translate import Translation, translate
+from repro.db.database import Database
+from repro.db.schema import RelationSchema
+from repro.db.table import Row, Table
 from repro.errors import InferenceError, SchemaError, ServingError, WeightError
 from repro.indb.database import TupleIndependentDatabase
 from repro.indb.weights import (
@@ -40,8 +43,9 @@ from repro.lineage.shannon import shannon_probability
 from repro.mvindex.index import MVIndex
 from repro.mvindex.summaries import SkipAnalysis, SummaryStore, summarize_component
 from repro.obdd.order import VariableOrder, order_from_permutations
+from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
-from repro.query.evaluator import evaluate_ucq
+from repro.query.evaluator import QueryResult, evaluate_cq, evaluate_ucq
 from repro.query.ucq import UCQ, as_ucq
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -52,6 +56,43 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: (which includes registered third-party methods) is
 #: :func:`repro.methods.names`.
 METHODS = ("mvindex", "mvindex-mv", "obdd", "shannon", "enumeration")
+
+
+class _UnionTable:
+    """A live table followed by its appended (disjoint) Δ rows, read-only."""
+
+    def __init__(self, live: Any, delta: Table) -> None:
+        self.name = live.name
+        self.live = live
+        self.delta = delta
+
+    def __len__(self) -> int:
+        return len(self.live) + len(self.delta)
+
+    def distinct_count(self, position: int) -> int:
+        # An upper bound, which is all join-order statistics need.
+        return self.live.distinct_count(position) + self.delta.distinct_count(position)
+
+    def scan(self, bindings: dict[int, Any] | None = None) -> Iterator[Row]:
+        yield from self.live.scan(bindings)
+        yield from self.delta.scan(bindings)
+
+    def lookup(self, bindings: dict[int, Any]) -> list[Row]:
+        return self.live.lookup(bindings) + self.delta.lookup(bindings)
+
+
+class _DeltaLineage:
+    """Lineage provider of a delta overlay: appended tuples, then the live INDB."""
+
+    def __init__(self, live: TupleIndependentDatabase) -> None:
+        self.live = live
+        self.relation_of: dict[str, str] = {}  # Δ table name -> its relation
+        self.variables: dict[tuple[str, Row], int] = {}  # appended, not certain
+
+    def variable_for(self, relation: str, row: Row) -> int | None:
+        relation = self.relation_of.get(relation, relation)
+        variable = self.variables.get((relation, row))
+        return self.live.variable_for(relation, row) if variable is None else variable
 
 
 class MVQueryEngine:
@@ -163,10 +204,12 @@ class MVQueryEngine:
 
         ``facts`` maps base relation names to fact lists: plain rows for
         deterministic relations, ``(row, weight)`` pairs for probabilistic
-        ones.  View outputs and the lineage of ``W`` are re-materialised
-        against the appended data, and only the *delta* OBDD components are
-        compiled — untouched views and components are reused as-is.  Returns
-        the number of new possible tuples (probabilistic and deterministic).
+        ones.  Only the view derivations that use an appended fact are
+        evaluated, over the live tables plus the new rows, and they yield the
+        new ``NV`` tuples and ``W`` clauses directly; only the *delta* OBDD
+        components are compiled — untouched views and components are reused
+        as-is.  Returns the number of new possible tuples (probabilistic and
+        deterministic).
         """
         pending = self.prepare_append(facts)
         self.apply_pending(pending)
@@ -176,11 +219,10 @@ class MVQueryEngine:
         """Compile the delta for attaching new MarkoViews, off the serving lock.
 
         Read-only with respect to live engine state: the new views' outputs
-        are materialised over a variable-faithful scratch reconstruction of
-        the live INDB, the lineage of the extended ``W`` is diffed against
-        the indexed one, and the delta components are compiled in a *fresh*
-        OBDD manager.  Nothing the serving read path touches is mutated
-        until :meth:`apply_pending`.
+        are materialised by reading the live INDB, their ``W`` clauses are
+        added to the indexed lineage, and the delta components are compiled
+        in a *fresh* OBDD manager.  Nothing the serving read path touches is
+        mutated until :meth:`apply_pending`.
 
         ``mvdb`` must carry every currently attached view (by name) plus the
         new ones, over base data consistent with the engine's (the engine
@@ -214,10 +256,12 @@ class MVQueryEngine:
     def prepare_append(self, facts: Mapping[str, Any]) -> PendingExtend:
         """Prepare a streaming fact append, off the serving lock.
 
-        The incremental lineage patch needs the MarkoView definitions to
-        re-materialise view outputs over the appended data, so this is only
-        available on engines built from a source MVDB (an artifact-restored
-        engine regains the capability after an extend with a full spec).
+        Read-only with respect to live engine state, like
+        :meth:`prepare_extend`.  The incremental lineage patch needs the
+        MarkoView definitions to derive view outputs from the appended data,
+        so this is only available on engines built from a source MVDB (an
+        artifact-restored engine regains the capability after an extend
+        with a full spec).
         """
         if self.mvdb is None:
             raise InferenceError(
@@ -269,10 +313,12 @@ class MVQueryEngine:
                     f"variable {assigned}, expected {variable} (engine state diverged "
                     "from the prepared snapshot)"
                 )
-        removed = {frozenset(clause) for clause in pending.removed_clauses}
-        added_clauses = {frozenset(clause) for clause in pending.added_clauses}
-        clauses = (self.w_lineage.clauses - removed) | added_clauses
-        new_w_lineage = DNF(clauses) if clauses else DNF.false()
+        new_w_lineage = self.w_lineage
+        if pending.added_clauses or pending.removed_clauses:
+            removed = {frozenset(clause) for clause in pending.removed_clauses}
+            added_clauses = {frozenset(clause) for clause in pending.added_clauses}
+            clauses = (self.w_lineage.clauses - removed) | added_clauses
+            new_w_lineage = DNF(clauses) if clauses else DNF.false()
         self.probabilities.update(pending.new_probabilities)
         added: list[int] = []
         if self.mv_index is not None and (
@@ -324,105 +370,118 @@ class MVQueryEngine:
         facts: Mapping[str, list] | None,
         kind: str,
     ) -> PendingExtend:
-        """Shared prepare pipeline for extends and appends.
+        """Shared prepare pipeline for extends and appends: one semi-naive pass.
 
-        Reconstructs a scratch INDB with the live variable assignment
-        (re-adding tuples in variable order reproduces the sequential ids
-        exactly), appends the new facts and view outputs at the tail, and
-        re-derives the lineage of ``W`` over the result.  The relational
-        pass covers all views (new derivations of existing view outputs must
-        be found too), but OBDD compilation is delta-only.
+        The appended facts are validated and numbered as sequential inserts
+        would number them (relations in sorted order, then entry order, new
+        variables from ``tuple_count()``) and held in small Δ tables; the
+        live tables are only read, through an overlay in which a relation
+        with Δ rows is the union of both.  A derivation the new facts make
+        possible uses at least one Δ row, so each existing view disjunct runs
+        once per body atom over a Δ relation, with that atom reading the Δ
+        rows alone.  A new view (an extend) runs in full over the overlay.
+        New ``NV`` tuples are the derived rows not yet in ``NV_i`` whose
+        weight is not 1, numbered per view in ``repr`` order, and the new
+        clauses of ``W`` come straight from the derivations (Def. 5:
+        ``{var(NV_i(r))} ∪ d``, the ``NV`` variable omitted when the tuple is
+        certain).  OBDD compilation is delta-only.
         """
         live = self.indb
-        all_views = list(self.mvdb.views) + list(new_views)
+        views = self.mvdb.views
         new_tables: list[dict[str, Any]] = []
         deterministic_facts: dict[str, list[tuple]] = {}
         new_tuples: list[tuple[str, tuple, float, int]] = []
-        scratch = TupleIndependentDatabase(backend=live.database.backend.spawn())
-        try:
-            for table in live.database:
-                if live.is_probabilistic(table.name):
-                    scratch.add_probabilistic_table(table.name, table.schema.attribute_names)
-                else:
-                    scratch.add_deterministic_table(
-                        table.name, table.schema.attribute_names, table.rows()
-                    )
-            for relation, row, weight, variable in live.probabilistic_tuples():
-                if scratch.add_probabilistic_tuple(relation, row, weight) != variable:
-                    raise InferenceError(
-                        "cannot prepare a delta: variable reconstruction diverged "
-                        "from the live engine (corrupt INDB state)"
-                    )
-            if facts:
-                nv_relations = {view.nv_relation for view in all_views}
-                for relation in sorted(facts):
-                    if relation not in live.database:
-                        raise SchemaError(
-                            f"cannot append facts to unknown relation {relation!r}"
-                        )
-                    if relation in nv_relations or relation.startswith("NV_"):
-                        raise InferenceError(
-                            f"facts must target base relations, not the translated "
-                            f"{relation!r}"
-                        )
-                    if live.is_probabilistic(relation):
-                        for entry in facts[relation]:
-                            row, weight = self._fact_pair(relation, entry)
-                            if scratch.has_tuple(relation, row):
-                                raise InferenceError(
-                                    f"cannot append: tuple {relation}{row} already exists; "
-                                    "weights of existing tuples cannot change through appends"
-                                )
-                            variable = scratch.add_probabilistic_tuple(relation, row, weight)
-                            new_tuples.append((relation, row, weight, variable))
-                    else:
-                        fresh = []
-                        for entry in facts[relation]:
-                            row = self._fact_row(relation, entry)
-                            if scratch.database.insert(relation, row):
-                                fresh.append(row)
-                        if fresh:
-                            deterministic_facts[relation] = fresh
-            for view in new_views:
-                nv_name = view.nv_relation
-                if nv_name in scratch.database:
-                    raise SchemaError(
-                        f"cannot create relation {nv_name!r} for MarkoView "
-                        f"{view.name!r}: name in use"
-                    )
-                attributes = [variable.name for variable in view.query.head]
-                scratch.add_probabilistic_table(nv_name, attributes)
-                new_tables.append(
-                    {"name": nv_name, "attributes": attributes, "probabilistic": True}
+        first_variable = live.tuple_count()
+        provider = _DeltaLineage(live)
+        deltas: dict[str, Table] = {}  # relation -> its appended rows
+        for relation in sorted(facts or ()):
+            if relation not in live.database:
+                raise SchemaError(f"cannot append facts to unknown relation {relation!r}")
+            if relation.startswith("NV_") or relation in {v.nv_relation for v in views}:
+                raise InferenceError(
+                    f"facts must target base relations, not the translated {relation!r}"
                 )
-            w_disjuncts: list[ConjunctiveQuery] = []
-            for view in all_views:
-                nv_name = view.nv_relation
-                result = evaluate_ucq(view.query, scratch.database, scratch)
-                for row, __ in sorted(
-                    result.lineages().items(), key=lambda item: repr(item[0])
-                ):
-                    weight = view.weight_of(row)
-                    if weight == 1.0:
-                        # Weight 1 asserts independence: no correlation to encode.
-                        continue
-                    translated = markoview_weight_to_indb_weight(weight)
-                    if scratch.has_tuple(nv_name, row):
-                        if scratch.weight(nv_name, row) != translated:
-                            raise InferenceError(
-                                f"cannot extend: view {view.name!r} changed the weight "
-                                f"of existing output {row}; views may only be added"
-                            )
-                        continue
-                    variable = scratch.add_probabilistic_tuple(nv_name, row, translated)
-                    new_tuples.append((nv_name, row, translated, variable))
-                w_disjuncts.extend(_w_disjuncts_for_view(view))
-            if w_disjuncts:
-                new_w_lineage = scratch.lineage_of(UCQ(w_disjuncts, name="W"))
+            table = live.database.table(relation)
+            alias = "Δ" + relation
+            while alias in live.database or alias in provider.relation_of:
+                alias = "Δ" + alias
+            delta = Table(RelationSchema(alias, table.schema.attribute_names))
+            if live.is_probabilistic(relation):
+                for entry in facts[relation]:
+                    row, weight = self._fact_pair(relation, entry)
+                    if live.has_tuple(relation, row) or row in delta:
+                        raise InferenceError(
+                            f"cannot append: tuple {relation}{row} already exists; "
+                            "weights of existing tuples cannot change through appends"
+                        )
+                    delta.insert(table.check_row(row))
+                    variable = first_variable + len(new_tuples)
+                    new_tuples.append((relation, row, weight, variable))
+                    if weight != CERTAIN_WEIGHT:
+                        provider.variables[(relation, row)] = variable
             else:
-                new_w_lineage = DNF.false()
-        finally:
-            scratch.database.close()
+                for entry in facts[relation]:
+                    row = table.check_row(self._fact_row(relation, entry))
+                    if row not in table and delta.insert(row):
+                        deterministic_facts.setdefault(relation, []).append(row)
+            if delta:
+                deltas[relation] = delta
+                provider.relation_of[alias] = relation
+        overlay = Database(
+            [
+                _UnionTable(table, deltas[table.name]) if table.name in deltas else table
+                for table in live.database
+            ]
+            + list(deltas.values())
+        )
+        derived: list[tuple[MarkoView, QueryResult]] = []
+        for view in views:
+            result = QueryResult(view.query.head)
+            for cq in view.query.disjuncts:
+                for position, atom in enumerate(cq.atoms):
+                    if atom.relation in deltas:
+                        atoms = list(cq.atoms)
+                        atoms[position] = Atom(deltas[atom.relation].name, atom.terms)
+                        delta_cq = ConjunctiveQuery(cq.head, atoms, cq.comparisons, cq.name)
+                        evaluate_cq(delta_cq, overlay, provider, result)
+            derived.append((view, result))
+        for view in new_views:
+            nv_name = view.nv_relation
+            if nv_name in live.database or any(t["name"] == nv_name for t in new_tables):
+                raise SchemaError(
+                    f"cannot create relation {nv_name!r} for MarkoView "
+                    f"{view.name!r}: name in use"
+                )
+            attributes = [variable.name for variable in view.query.head]
+            new_tables.append({"name": nv_name, "attributes": attributes, "probabilistic": True})
+            derived.append((view, evaluate_ucq(view.query, overlay, provider)))
+        w_clauses: set[frozenset[int]] = set()
+        for view, result in derived:
+            nv_name = view.nv_relation
+            for row, lineage in sorted(result.lineages().items(), key=lambda item: repr(item[0])):
+                weight = view.weight_of(row)
+                if weight == 1.0:
+                    # Weight 1 asserts independence: no correlation to encode.
+                    continue
+                translated = markoview_weight_to_indb_weight(weight)
+                if live.has_tuple(nv_name, row):
+                    if live.weight(nv_name, row) != translated:
+                        raise InferenceError(
+                            f"cannot extend: view {view.name!r} changed the weight "
+                            f"of existing output {row}; views may only be added"
+                        )
+                    nv_variable = live.variable_for(nv_name, row)
+                else:
+                    nv_variable = first_variable + len(new_tuples)
+                    new_tuples.append((nv_name, row, translated, nv_variable))
+                    if translated == CERTAIN_WEIGHT:
+                        nv_variable = None
+                nv_clause = frozenset() if nv_variable is None else frozenset((nv_variable,))
+                w_clauses.update(clause | nv_clause for clause in lineage)
+        if w_clauses <= self.w_lineage.clauses:
+            new_w_lineage = self.w_lineage
+        else:
+            new_w_lineage = DNF(self.w_lineage.clauses | w_clauses)
         return self._diff_and_compile(
             new_w_lineage,
             new_tables,

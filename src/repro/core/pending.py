@@ -3,10 +3,10 @@
 The non-blocking write path splits every mutation — attaching MarkoViews
 (``extend``) or streaming new base facts (``append``) — into two halves:
 
-* **prepare** (off the serving lock): the engine evaluates the new view
-  outputs and the lineage of ``W`` against an immutable snapshot of its
-  state, diffs the clause sets, and compiles only the delta OBDD components
-  in a *fresh* manager.  The result is a :class:`PendingExtend` — everything
+* **prepare** (off the serving lock): the engine derives the new view
+  outputs and ``W`` clauses by reading its live state without changing it,
+  diffs the clause sets, and compiles only the delta OBDD components in a
+  *fresh* manager.  The result is a :class:`PendingExtend` — everything
   needed to publish the mutation, with no reference to live engine state.
 * **apply** (under the brief write lock): an O(delta) patch — insert the new
   tuples, splice the lineage, import the pre-compiled node block into the

@@ -193,7 +193,8 @@ class SqliteTable:
         )
 
     # ------------------------------------------------------------------- CRUD
-    def _check_row(self, row: Sequence[Any]) -> Row:
+    def check_row(self, row: Sequence[Any]) -> Row:
+        """The row as this table stores it; :class:`SchemaError` if it cannot be."""
         row_tuple = tuple(row)
         if len(row_tuple) != self.schema.arity:
             raise SchemaError(
@@ -210,7 +211,7 @@ class SqliteTable:
 
     def insert(self, row: Sequence[Any]) -> bool:
         """Insert a row; return ``True`` if it was not already present."""
-        row_tuple = self._check_row(row)
+        row_tuple = self.check_row(row)
         with self.backend.lock:
             cursor = self.backend.connection.execute(self._insert_sql, row_tuple)
             inserted = cursor.rowcount > 0
@@ -221,7 +222,7 @@ class SqliteTable:
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
         """Bulk insert inside one transaction; return the number of new rows."""
-        checked = [self._check_row(row) for row in rows]
+        checked = [self.check_row(row) for row in rows]
         if not checked:
             return 0
         connection = self.backend.connection

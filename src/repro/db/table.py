@@ -45,17 +45,21 @@ class Table:
             self.insert(row)
 
     # ------------------------------------------------------------------ CRUD
+    def check_row(self, row: Sequence[Any]) -> Row:
+        """The row as this table stores it; :class:`SchemaError` if it cannot be."""
+        if self._validate:
+            return self.schema.validate_row(row)
+        row_tuple = tuple(row)
+        if len(row_tuple) != self.schema.arity:
+            raise SchemaError(
+                f"row {row_tuple!r} has arity {len(row_tuple)}, expected "
+                f"{self.schema.arity} for {self.schema.name!r}"
+            )
+        return row_tuple
+
     def insert(self, row: Sequence[Any]) -> bool:
         """Insert a row; return ``True`` if it was not already present."""
-        if self._validate:
-            row_tuple = self.schema.validate_row(row)
-        else:
-            row_tuple = tuple(row)
-            if len(row_tuple) != self.schema.arity:
-                raise SchemaError(
-                    f"row {row_tuple!r} has arity {len(row_tuple)}, expected "
-                    f"{self.schema.arity} for {self.schema.name!r}"
-                )
+        row_tuple = self.check_row(row)
         if row_tuple in self._rows:
             return False
         self._rows[row_tuple] = None

@@ -14,22 +14,34 @@ Covers the issue's write-path contract at the engine and dispatcher layers:
   must keep completing *during* the compile with latencies far below the
   pad (the old design excluded readers for the whole compile), every
   thread must observe a monotonically non-decreasing generation, and the
-  post-swap answers must reflect the new view set — no stale cache hits.
+  post-swap answers must reflect the new view set — no stale cache hits;
+* semi-naive appends — appends that change ``W`` (new V1/V2/V3 outputs,
+  new derivations of existing outputs, a clause absorbed by a deterministic
+  fact) leave the engine equal to a from-scratch rebuild, prepare reads the
+  live state without changing it, and its relational work does not grow
+  with the database.
 """
 
 from __future__ import annotations
 
 import json
+import random
+import sys
 import threading
 import time
 
 import pytest
 
 import repro
+from bench.workloads import append_payload
+from repro.core.engine import MVQueryEngine
 from repro.core.pending import PendingExtend
 from repro.dblp.config import DblpConfig
 from repro.dblp.workload import build_mvdb
-from repro.errors import ServingError
+from repro.errors import InferenceError, SchemaError, ServingError
+from repro.indb.weights import CERTAIN_WEIGHT
+from repro.numerics import INCREMENTAL_REBUILD_ULPS, within_ulps
+from repro.query import evaluator
 from repro.serving.artifact import engine_state
 from repro.serving.dispatch import Dispatcher
 from repro.serving.loadgen import dblp_ingest_facts
@@ -266,3 +278,267 @@ class TestNonBlockingWritePath:
             )
         finally:
             dispatcher.close()
+
+
+# ------------------------------------------------------- semi-naive appends
+W_GROUPS = 24
+
+#: Queries whose answers the ``W``-changing appends below move.
+W_QUERIES = (
+    "Q(aid1, aid2) :- Advisor(aid1, aid2)",
+    "Q(aid, inst) :- Affiliation(aid, inst)",
+    "Q(aid) :- Student(aid, year), Advisor(aid, aid1), aid < 40",
+)
+
+
+def w_changing_append(mvdb, rng: random.Random, step: int) -> dict:
+    """Append number ``step`` of a seeded sequence whose every kind can change ``W``.
+
+    The four kinds rotate: a second advisor for an advised student (new V2
+    outputs); the newest advisor co-writing a paper of the student's
+    student years (a V1 output, of weight 0 when the pair never co-wrote);
+    a shared institution plus a recent co-publication (new V3 outputs); a
+    student year in which the student co-wrote with an advisor, beside a
+    fresh author (a new derivation of a V1 output).  Choices read the
+    current ``mvdb``, which the engine mirrors after every append.
+    """
+    database = mvdb.database
+    advisor = database.rows("Advisor")
+    year_of = {pid: year for pid, __, year in database.rows("Pub")}
+    pids: dict[int, set[int]] = {}
+    for aid, pid in database.rows("Wrote"):
+        pids.setdefault(aid, set()).add(pid)
+    years: dict[int, set[int]] = {}
+    for aid, year in database.rows("Student"):
+        years.setdefault(aid, set()).add(year)
+    kind = step % 4
+    if kind == 0:
+        aid1, __ = rng.choice(advisor)
+        taken = {a2 for a1, a2 in advisor if a1 == aid1} | {aid1}
+        return {"Advisor": [[[aid1, rng.choice(sorted(set(pids) - taken))], 0.8]]}
+    if kind == 1:
+        aid1, aid2 = advisor[-1]
+        papers = pids[aid1] - pids.get(aid2, set())
+        papers = sorted(pid for pid in papers if year_of[pid] in years[aid1])
+        return {"Wrote": [[aid2, rng.choice(papers)]]}
+    if kind == 2:
+        affiliation = database.rows("Affiliation")
+        aid1, inst = rng.choice(affiliation)
+        placed = {aid for aid, other in affiliation if other == inst}
+        aid2 = rng.choice(sorted(set(pids) - placed))
+        return {
+            "Affiliation": [[[aid2, inst], 1.5]],
+            "RecentCoPub": [[aid1, aid2], [aid2, aid1]],
+        }
+    candidates = sorted(
+        {
+            (aid1, year_of[pid])
+            for aid1, aid2 in advisor
+            for pid in pids.get(aid1, set()) & pids.get(aid2, set())
+            if year_of[pid] not in years.get(aid1, ())
+        }
+    )
+    aid1, year = rng.choice(candidates)
+    fresh = 800000 + step
+    return {
+        "Author": [[fresh, f"Ingest Author {fresh}"]],
+        "Student": [[[aid1, year], 0.7]],
+    }
+
+
+def _w_tuples(engine) -> set:
+    """``W``'s clauses with every variable mapped to its ``(relation, row)``."""
+    tuple_of = engine.indb.tuple_of
+    return {frozenset(tuple_of(v) for v in clause) for clause in engine.w_lineage.clauses}
+
+
+def _nv_tables(engine) -> dict:
+    indb = engine.indb
+    return {
+        table.name: {row: indb.weight(table.name, row) for row in table.rows()}
+        for table in indb.database
+        if table.name.startswith("NV_")
+    }
+
+
+def _assert_matches_rebuild(engine, queries) -> None:
+    rebuilt = MVQueryEngine(engine.mvdb)
+    try:
+        assert _w_tuples(engine) == _w_tuples(rebuilt)
+        assert _nv_tables(engine) == _nv_tables(rebuilt)
+        for query in queries:
+            parsed = repro.parse_query(query)
+            appended, fresh = engine.query(parsed), rebuilt.query(parsed)
+            assert appended.keys() == fresh.keys()
+            for answer, probability in appended.items():
+                assert within_ulps(probability, fresh[answer], INCREMENTAL_REBUILD_ULPS), (
+                    f"{query!r} {answer}: appended {probability!r} vs rebuilt {fresh[answer]!r}"
+                )
+    finally:
+        rebuilt.indb.database.close()
+
+
+def _cases(engine, pending, base_count: int) -> set[str]:
+    """Which of the covered ``W`` changes one applied append made."""
+    cases = set()
+    for relation, __, weight, __ in pending.new_tuples:
+        if relation == "NV_V1" and weight == CERTAIN_WEIGHT:
+            cases.add("certain V1 output")
+        if relation == "NV_V2":
+            cases.add("new V2 output")
+    for clause in pending.added_clauses:
+        if any(
+            v < base_count and engine.indb.tuple_of(v)[0].startswith("NV_") for v in clause
+        ):
+            cases.add("new derivation of an existing output")
+    return cases
+
+
+class TestSemiNaiveAppend:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_w_changing_appends_match_a_rebuild(self, backend):
+        engine = MVQueryEngine(
+            build_mvdb(DblpConfig(group_count=W_GROUPS, seed=SEED), backend=backend).mvdb
+        )
+        rng = random.Random(7)
+        covered: set[str] = set()
+        for step in range(12):
+            base_count = engine.indb.tuple_count()
+            pending = engine.prepare_append(w_changing_append(engine.mvdb, rng, step))
+            engine.apply_pending(pending)
+            covered |= _cases(engine, pending, base_count)
+            _assert_matches_rebuild(engine, W_QUERIES)
+        assert covered == {
+            "certain V1 output",
+            "new V2 output",
+            "new derivation of an existing output",
+        }
+
+    def test_deterministic_append_absorbs_an_indexed_clause(self):
+        mvdb = repro.MVDB()
+        mvdb.add_probabilistic_table("R", ["x"], [(("a",), 1.0)])
+        mvdb.add_probabilistic_table("S", ["x"], [(("a",), 2.0)])
+        mvdb.add_deterministic_table("T", ["x"])
+        view = repro.parse_query("V(x) :- R(x), S(x); V(x) :- T(x)")
+        mvdb.add_markoview(repro.MarkoView("V", view, weight=0.25))
+        engine = MVQueryEngine(mvdb)
+        (indexed,) = engine.w_lineage.clauses
+        assert len(indexed) == 3  # R(a), S(a) and NV_V(a)
+
+        pending = engine.prepare_append({"T": [["a"]]})
+        assert pending.removed_clauses == [sorted(indexed)]
+        assert pending.added_clauses == [[engine.indb.variable_for("NV_V", ("a",))]]
+        engine.apply_pending(pending)
+        _assert_matches_rebuild(engine, ["Q(x) :- R(x)", "Q(x) :- S(x)"])
+
+
+class TestPrepareIsReadOnly:
+    @staticmethod
+    def _snapshot(engine):
+        rows = {table.name: len(table) for table in engine.indb.database}
+        return rows, engine.indb.tuple_count(), engine.mutation_epoch, engine.w_lineage
+
+    def test_prepare_changes_no_live_state(self):
+        engine = MVQueryEngine(build_mvdb(_config()).mvdb)
+        before = self._snapshot(engine)
+        student, __ = engine.mvdb.database.rows("Advisor")[0]
+        pending = engine.prepare_append({"Advisor": [[[student, student], 0.8]]})
+        assert pending.added_clauses  # a W-changing append...
+        assert self._snapshot(engine) == before  # ...left nothing behind
+
+        existing_student = engine.mvdb.database.rows("Student")[0]
+        failing = [
+            ({"Student": [[[990001, 2020], 1.5], [[990001, 2020], 2.0]]}, InferenceError),
+            ({"Student": [[list(existing_student), 1.5]]}, InferenceError),
+            ({"NV_V1": [[[1, 2], 1.5]]}, InferenceError),
+            ({"Nowhere": [[1]]}, SchemaError),
+        ]
+        for facts, error in failing:
+            with pytest.raises(error):
+                engine.prepare_append(facts)
+            assert self._snapshot(engine) == before
+
+        existing_author = list(engine.mvdb.database.rows("Author")[0])
+        fresh = [990003, "Ingest Author 990003"]
+        pending = engine.prepare_append({"Author": [existing_author, fresh, fresh]})
+        assert pending.deterministic_facts == {"Author": [tuple(fresh)]}
+        assert pending.added_tuple_count == 1
+        assert self._snapshot(engine) == before
+
+
+    def test_unstorable_rows_fail_in_prepare_not_in_apply(self):
+        # The sqlite backend stores int/float/str/bool/None only; prepare
+        # checks appended rows against the live table, so apply never meets
+        # a row it cannot store halfway through a batch.
+        engine = MVQueryEngine(build_mvdb(_config(), backend="sqlite").mvdb)
+        before = self._snapshot(engine)
+        facts = {
+            "Author": [[990004, "Ingest Author 990004"]],
+            "Student": [[[990004, (2020,)], 1.5]],
+        }
+        with pytest.raises(SchemaError, match="not storable"):
+            engine.prepare_append(facts)
+        assert self._snapshot(engine) == before
+
+
+class TestAppendIsDeltaSized:
+    def test_prepare_emits_do_not_grow_with_the_database(self, monkeypatch):
+        emitted: list[str] = []
+        emit = evaluator._JoinStep.emit
+        monkeypatch.setattr(
+            evaluator._JoinStep,
+            "emit",
+            lambda step, *args: (emitted.append(step.atom.relation), emit(step, *args)),
+        )
+        counts = {}
+        for groups in (24, 96):
+            mvdb = build_mvdb(DblpConfig(group_count=groups, seed=SEED)).mvdb
+            engine = MVQueryEngine(mvdb, build_index=False)
+            per_append = []
+            for index in range(3):
+                del emitted[:]
+                engine.prepare_append(append_payload(index, entity=0))
+                per_append.append(len(emitted))
+            counts[groups] = per_append
+        assert counts[24] == counts[96], counts
+        assert all(count > 0 for count in counts[24])
+
+
+class TestConcurrentAppendsOnSqlite:
+    def test_readers_stream_beside_w_changing_appends(self):
+        config = DblpConfig(group_count=GROUPS, seed=SEED)
+        engine = MVQueryEngine(build_mvdb(config, backend="sqlite").mvdb)
+        dispatcher = Dispatcher(engine, workers=2)
+        stop = threading.Event()
+        generations: list[list[int]] = [[] for _ in range(3)]
+        errors: list[BaseException] = []
+
+        def read(slot: int) -> None:
+            while not stop.is_set():
+                try:
+                    __, generation = dispatcher.execute(W_QUERIES[slot], timeout=30)
+                except BaseException as exc:  # noqa: BLE001 - recorded for the assert
+                    errors.append(exc)
+                    return
+                generations[slot].append(generation)
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave prepare's live reads with the readers'
+        try:
+            for thread in threads:
+                thread.start()
+            rng = random.Random(7)
+            for step in range(8):
+                dispatcher.append_facts(w_changing_append(engine.mvdb, rng, step))
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            dispatcher.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, f"reader thread failed: {errors[0]!r}"
+        for observed in generations:
+            assert observed and observed == sorted(observed)
+        _assert_matches_rebuild(engine, W_QUERIES)
