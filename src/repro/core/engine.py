@@ -45,7 +45,7 @@ from repro.mvindex.summaries import SkipAnalysis, SummaryStore, summarize_compon
 from repro.obdd.order import VariableOrder, order_from_permutations
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
-from repro.query.evaluator import QueryResult, evaluate_cq, evaluate_ucq
+from repro.query.evaluator import QueryResult, evaluate_cq, evaluate_ucq, has_first_step_row
 from repro.query.ucq import UCQ, as_ucq
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -93,6 +93,46 @@ class _DeltaLineage:
         relation = self.relation_of.get(relation, relation)
         variable = self.variables.get((relation, row))
         return self.live.variable_for(relation, row) if variable is None else variable
+
+
+def delta_table(database: Database, relation: str, taken: set[str]) -> Table:
+    """An empty memory table for the appended (Δ) rows of ``relation``.
+
+    It is named ``Δ<relation>``, with one more ``Δ`` while the name is a
+    relation of ``database`` or already in ``taken`` (to which it is added),
+    so it can sit beside every live table in one :class:`Database`.
+    """
+    alias = "Δ" + relation
+    while alias in database or alias in taken:
+        alias = "Δ" + alias
+    taken.add(alias)
+    return Table(RelationSchema(alias, database.table(relation).schema.attribute_names))
+
+
+def delta_rewrites(
+    cq: ConjunctiveQuery, deltas: Mapping[str, Table]
+) -> Iterator[ConjunctiveQuery]:
+    """The semi-naive rewrite of ``cq`` for appended rows (``relation -> Δ table``).
+
+    Appends are monotone, so a derivation the Δ rows make possible reads one
+    of them through some atom.  One copy of ``cq`` is yielded per atom over a
+    relation of ``deltas``, with that atom reading the Δ table alone and
+    every other atom unchanged; evaluated over tables that hold the Δ rows
+    too, the copies derive every new derivation.  A copy whose Δ atom keeps
+    no Δ row under the checks one row decides alone (constants, repeated
+    variables, comparisons over that atom's variables) derives nothing and
+    is not yielded, so it is never planned.
+    """
+    for position, atom in enumerate(cq.atoms):
+        delta = deltas.get(atom.relation)
+        if delta is None:
+            continue
+        bound = Atom(delta.name, atom.terms)
+        if not has_first_step_row(cq, bound, delta):
+            continue
+        atoms = list(cq.atoms)
+        atoms[position] = bound
+        yield ConjunctiveQuery(cq.head, atoms, cq.comparisons, cq.name)
 
 
 class MVQueryEngine:
@@ -379,7 +419,8 @@ class MVQueryEngine:
         with Δ rows is the union of both.  A derivation the new facts make
         possible uses at least one Δ row, so each existing view disjunct runs
         once per body atom over a Δ relation, with that atom reading the Δ
-        rows alone.  A new view (an extend) runs in full over the overlay.
+        rows alone (:func:`delta_rewrites`, which the subscription tick
+        shares).  A new view (an extend) runs in full over the overlay.
         New ``NV`` tuples are the derived rows not yet in ``NV_i`` whose
         weight is not 1, numbered per view in ``repr`` order, and the new
         clauses of ``W`` come straight from the derivations (Def. 5:
@@ -394,6 +435,7 @@ class MVQueryEngine:
         first_variable = live.tuple_count()
         provider = _DeltaLineage(live)
         deltas: dict[str, Table] = {}  # relation -> its appended rows
+        aliases: set[str] = set()
         for relation in sorted(facts or ()):
             if relation not in live.database:
                 raise SchemaError(f"cannot append facts to unknown relation {relation!r}")
@@ -402,10 +444,7 @@ class MVQueryEngine:
                     f"facts must target base relations, not the translated {relation!r}"
                 )
             table = live.database.table(relation)
-            alias = "Δ" + relation
-            while alias in live.database or alias in provider.relation_of:
-                alias = "Δ" + alias
-            delta = Table(RelationSchema(alias, table.schema.attribute_names))
+            delta = delta_table(live.database, relation, aliases)
             if live.is_probabilistic(relation):
                 for entry in facts[relation]:
                     row, weight = self._fact_pair(relation, entry)
@@ -426,7 +465,7 @@ class MVQueryEngine:
                         deterministic_facts.setdefault(relation, []).append(row)
             if delta:
                 deltas[relation] = delta
-                provider.relation_of[alias] = relation
+                provider.relation_of[delta.name] = relation
         overlay = Database(
             [
                 _UnionTable(table, deltas[table.name]) if table.name in deltas else table
@@ -438,12 +477,8 @@ class MVQueryEngine:
         for view in views:
             result = QueryResult(view.query.head)
             for cq in view.query.disjuncts:
-                for position, atom in enumerate(cq.atoms):
-                    if atom.relation in deltas:
-                        atoms = list(cq.atoms)
-                        atoms[position] = Atom(deltas[atom.relation].name, atom.terms)
-                        delta_cq = ConjunctiveQuery(cq.head, atoms, cq.comparisons, cq.name)
-                        evaluate_cq(delta_cq, overlay, provider, result)
+                for delta_cq in delta_rewrites(cq, deltas):
+                    evaluate_cq(delta_cq, overlay, provider, result)
             derived.append((view, result))
         for view in new_views:
             nv_name = view.nv_relation

@@ -94,22 +94,29 @@ class PendingExtend:
     def delta_descriptor(self) -> dict[str, Any]:
         """Summarize what this delta can possibly touch, for subscriptions.
 
-        The subscription evaluator skips a standing query when the delta is
-        provably disjoint from it, which needs exactly two facts about the
-        mutation: which *relations* gained rows (a query over disjoint
-        relations keeps its relational lineage — appends are monotone), and
-        which *variables* sit in recompiled or new MV-index components (a
-        lineage over disjoint variables keeps its conditional probability —
+        The subscription evaluator skips a standing query when the delta
+        provably leaves its answers alone, which needs exactly two facts
+        about the mutation: the appended *rows* per relation (appends are
+        monotone, so a query none of whose atoms derives a row from them
+        keeps its relational lineage — the delta rule), and which
+        *variables* sit in recompiled or new MV-index components (a lineage
+        over disjoint variables keeps its conditional probability —
         untouched components cancel in ``P0(Q ∧ ¬W)/P0(¬W)``).  Recompiled
         components re-enter the index with their full variable pool, so
         ``component_variables`` of the index delta covers every removed
-        component's variables too.
+        component's variables too.  The rows are tuples here whether the
+        delta was prepared locally or rehydrated by :meth:`from_sealed`, so
+        a leader and its followers build the same descriptor.
         """
         from repro.mvindex.summaries import variables_bitmap
 
-        relations: set[str] = set(self.deterministic_facts)
+        rows: dict[str, list[tuple]] = {}
+        for relation, row, *_ in self.new_tuples:
+            rows.setdefault(relation, []).append(row)
+        for relation, facts in self.deterministic_facts.items():
+            rows.setdefault(relation, []).extend(facts)
+        relations: set[str] = set(rows)
         relations.update(table["name"] for table in self.new_tables)
-        relations.update(relation for relation, *_ in self.new_tuples)
         component_variables: set[int] = set()
         removed_keys: list[int] = []
         if self.index_delta is not None:
@@ -120,6 +127,7 @@ class PendingExtend:
             "kind": self.kind,
             "base_epoch": self.base_epoch,
             "relations": sorted(relations),
+            "rows": rows,
             "component_variables": sorted(component_variables),
             # The same variable set as a summary-layer bitmap (an int), so
             # the subscription evaluator intersects it against each standing

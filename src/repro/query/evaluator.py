@@ -387,6 +387,19 @@ class _JoinStep:
         return tuple(row[pos] for pos, _ in self.join_by_pos)
 
 
+def has_first_step_row(query: ConjunctiveQuery, atom: Atom, table: Any) -> bool:
+    """Whether some row of ``table`` passes ``atom``'s own checks in ``query``.
+
+    These are the checks one row decides alone, exactly as the first join
+    step makes them: the atom's constants, its repeated variables and the
+    comparisons over its variables only.  No plan is made and nothing is
+    emitted, so an atom without such a row is known to derive nothing
+    before any planning.
+    """
+    step = _JoinStep(atom, {}, set(), query.comparisons, NoLineage())
+    return any(True for __ in step.filtered(table.scan(dict(step.const_bindings))))
+
+
 def _index_probe(step: _JoinStep, items: list[_Item], table: Any) -> list[_Item]:
     """Index-nested-loop regime: one indexed lookup per intermediate tuple."""
     out: list[_Item] = []

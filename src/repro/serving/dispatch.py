@@ -177,7 +177,9 @@ def render_metrics(stats: dict[str, Any], extra_lines: Sequence[str] = ()) -> st
         "# HELP repro_subscription_skips_total Subscriptions provably unaffected and skipped.",
         "# TYPE repro_subscription_skips_total counter",
         f"repro_subscription_skips_total {subscriptions['skips_total']}",
-        "# HELP repro_subscription_skip_attribution_total Tick skips by the summary that proved them.",
+        "# HELP repro_subscription_skip_attribution_total Tick skips: signature = no appended "
+        "fact derives a row and no component was recompiled; bitmap = no appended fact "
+        "derives a row and no recompiled component holds a lineage variable.",
         "# TYPE repro_subscription_skip_attribution_total counter",
         'repro_subscription_skip_attribution_total{summary="signature"} '
         f"{subscriptions.get('skips_signature_total', 0)}",

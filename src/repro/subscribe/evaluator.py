@@ -6,19 +6,32 @@ publication point: every published mutation emits a delta descriptor
 service runs one **tick** per delta, re-evaluating *only* the
 subscriptions the delta can possibly affect.
 
-The skip rule is sound, not heuristic.  A subscription is re-evaluated iff
+The skip rule is the semi-naive **delta rule**, and it is sound, not
+heuristic.  A subscription is re-evaluated iff
 
-* the delta added rows to a relation its query mentions — appends are
-  monotone, so a query over disjoint relations keeps its relational
-  lineage bit-identical; or
+* some disjunct of its query derives at least one row when one body atom
+  reads only the appended (Δ) rows and every other atom reads the live
+  tables, which already hold the Δ rows at tick time — appends are
+  monotone, so every new derivation uses at least one Δ fact, and a query
+  with none keeps its relational lineage bit-identical (a query over
+  relations the delta did not touch has no Δ atom at all); or
 * the delta's recompiled/new MV-index components mention a variable of the
   subscription's answer lineages — the online probability is the
   conditional ratio ``P0(Q ∧ ¬W) / P0(¬W)`` over the components the
   lineage touches, and components it does not touch cancel, so a delta
   that recompiles only disjoint components cannot move the answer.
 
-Everything else is *provably unchanged and skipped* (the CI smoke asserts
-skipped answers stay bit-identical to fresh queries).
+Everything else is *provably unchanged and skipped* (the tier-1 tests
+assert skipped answers stay bit-identical to fresh queries).  A Δ atom
+whose own checks — constants, repeated variables, comparisons over its
+variables alone — keep no Δ row is dropped before any planning.  Skips are
+attributed: ``skips_signature`` when no appended fact derives a row and no
+component was recompiled, ``skips_bitmap`` when components were recompiled
+and the variable bitmap proved the lineage disjoint from them.  W-changing
+appends leave some ticks to the bitmap alone (a new advisor edge
+recompiles components of queries it derives nothing for), so it stays.
+Selected subscriptions go through the same batch evaluation as a fresh
+query, so fired answers are bit-identical to one by construction.
 
 Determinism is the cluster story: ticks run inside the single-writer
 mutex, immediately after publication, against a read-lock-pinned
@@ -34,10 +47,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from repro.core.engine import delta_rewrites, delta_table
+from repro.db.database import Database
+from repro.db.table import Table
 from repro.errors import ServingError
 from repro.mvindex.summaries import variables_bitmap
+from repro.query.evaluator import evaluate_cq
+from repro.query.ucq import UCQ
 from repro.serving.session import QuerySession
 from repro.subscribe.registry import (
     THRESHOLD_OPS,
@@ -144,7 +162,7 @@ class SubscriptionService:
 
     # -------------------------------------------------------------- the tick
     def _on_delta(self, descriptor: dict[str, Any]) -> None:
-        """One tick: re-evaluate the overlapping subset, skip the rest.
+        """One tick: re-evaluate what the delta rule selects, skip the rest.
 
         Called by the dispatcher after every published mutation, inside the
         single-writer mutex.  The read lock pins the generation for the
@@ -152,37 +170,36 @@ class SubscriptionService:
         fresh query at that generation returns.
         """
         start = time.perf_counter()
-        delta_relations = set(descriptor["relations"])
         delta_bitmap = descriptor["component_bitmap"]
         with self.dispatcher.read_pinned() as generation:
             with self._lock:
                 ordered = self.registry.ordered()
-            overlapping = [
+            derives = self._delta_rule(descriptor["rows"])
+            selected = [
                 subscription
                 for subscription in ordered
-                if (subscription.relations & delta_relations)
-                or (subscription.variables_bitmap & delta_bitmap)
+                if (subscription.variables_bitmap & delta_bitmap) or derives(subscription.ucq)
             ]
             fired = (
-                self._evaluate(overlapping, generation, baseline=False)
-                if overlapping
+                self._evaluate(selected, generation, baseline=False)
+                if selected
                 else []
             )
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        evaluated_ids = {subscription.sub_id for subscription in overlapping}
+        evaluated_ids = {subscription.sub_id for subscription in selected}
         with self._lock:
             self._ticks += 1
             tick = self._ticks
-            self._evaluations += len(overlapping)
-            self._skips += len(ordered) - len(overlapping)
+            self._evaluations += len(selected)
+            self._skips += len(ordered) - len(selected)
             self._last_tick_ms = elapsed_ms
             for subscription in ordered:
                 if subscription.sub_id not in evaluated_ids:
                     subscription.skips += 1
-                    # Attribute the skip to the summary that was decisive:
-                    # a delta with no recompiled components is cleared by
-                    # the relation signature alone; otherwise the variable
-                    # bitmap had to prove the lineage disjoint.
+                    # Attribute the skip: a delta with no recompiled
+                    # components is cleared by the delta rule alone;
+                    # otherwise the variable bitmap also had to prove the
+                    # lineage disjoint.
                     if delta_bitmap == 0:
                         subscription.skips_signature += 1
                         self._skips_signature += 1
@@ -198,6 +215,32 @@ class SubscriptionService:
                 self._notifications += 1
             if subscription.sink.get("kind") == "webhook":
                 self._submit_webhook(subscription, payload)
+
+    def _delta_rule(self, rows: Mapping[str, list[tuple]]) -> Callable[[UCQ], bool]:
+        """Whether a query derives a row from the appended ``rows`` (the delta rule).
+
+        The live tables already hold the Δ rows, so each disjunct is
+        evaluated once per atom over a Δ relation, that atom reading the Δ
+        rows alone (:func:`~repro.core.engine.delta_rewrites`); a query
+        with no such row keeps every derivation it had.  Caller holds the
+        dispatcher read lock.
+        """
+        database = self.dispatcher.engine.indb.database
+        taken: set[str] = set()
+        deltas: dict[str, Table] = {}
+        for relation, appended in rows.items():
+            deltas[relation] = delta_table(database, relation, taken)
+            deltas[relation].insert_many(appended)
+        overlay = Database([*database, *deltas.values()])
+
+        def derives(ucq: UCQ) -> bool:
+            return any(
+                evaluate_cq(delta_cq, overlay)
+                for cq in ucq.disjuncts
+                for delta_cq in delta_rewrites(cq, deltas)
+            )
+
+        return derives
 
     def _evaluate(
         self, subscriptions: list[Subscription], generation: int, baseline: bool

@@ -122,10 +122,11 @@ class Subscription:
     last_generation: int = -1
     evaluations: int = 0
     skips: int = 0
-    #: Skips attributed to the relation signature alone (the delta carried
-    #: no recompiled component variables, e.g. a deterministic append).
+    #: Skips where no appended fact derives a row of the query and no
+    #: component was recompiled (the delta rule alone decided).
     skips_signature: int = 0
-    #: Skips where the variable-bitmap disjointness test was decisive.
+    #: Skips where no appended fact derives a row and the variable bitmap
+    #: proved the lineage disjoint from the recompiled components.
     skips_bitmap: int = 0
     notifications: int = 0
 

@@ -33,7 +33,7 @@ import time
 import pytest
 
 import repro
-from bench.workloads import append_payload
+from bench.workloads import append_payload, subscription_specs
 from repro.core.engine import MVQueryEngine
 from repro.core.pending import PendingExtend
 from repro.dblp.config import DblpConfig
@@ -45,6 +45,7 @@ from repro.query import evaluator
 from repro.serving.artifact import engine_state
 from repro.serving.dispatch import Dispatcher
 from repro.serving.loadgen import dblp_ingest_facts
+from repro.subscribe import SubscriptionService
 
 GROUPS = 3
 SEED = 0
@@ -133,8 +134,12 @@ class TestSealedArtifacts:
         leader.apply_pending(pending)
 
         follower = repro.connect(build_mvdb(_config()).mvdb).engine
-        follower.apply_pending(PendingExtend.from_sealed(sealed))
+        imported = PendingExtend.from_sealed(sealed)
+        follower.apply_pending(imported)
         assert _state(leader) == _state(follower)
+        # The subscription tick of every replica sees the same Δ rows.
+        assert imported.delta_descriptor() == pending.delta_descriptor()
+        assert pending.delta_descriptor()["rows"]["Student"] == [(990001, 2020), (990002, 2021)]
 
     def test_sealed_extend_round_trip_is_byte_identical(self):
         leader = repro.connect(
@@ -481,15 +486,21 @@ class TestPrepareIsReadOnly:
         assert self._snapshot(engine) == before
 
 
+@pytest.fixture
+def emitted(monkeypatch) -> list[str]:
+    """The relation of every row ``_JoinStep.emit`` is called with, in order."""
+    rows: list[str] = []
+    emit = evaluator._JoinStep.emit
+    monkeypatch.setattr(
+        evaluator._JoinStep,
+        "emit",
+        lambda step, *args: (rows.append(step.atom.relation), emit(step, *args)),
+    )
+    return rows
+
+
 class TestAppendIsDeltaSized:
-    def test_prepare_emits_do_not_grow_with_the_database(self, monkeypatch):
-        emitted: list[str] = []
-        emit = evaluator._JoinStep.emit
-        monkeypatch.setattr(
-            evaluator._JoinStep,
-            "emit",
-            lambda step, *args: (emitted.append(step.atom.relation), emit(step, *args)),
-        )
+    def test_prepare_emits_do_not_grow_with_the_database(self, emitted):
         counts = {}
         for groups in (24, 96):
             mvdb = build_mvdb(DblpConfig(group_count=groups, seed=SEED)).mvdb
@@ -502,6 +513,34 @@ class TestAppendIsDeltaSized:
             counts[groups] = per_append
         assert counts[24] == counts[96], counts
         assert all(count > 0 for count in counts[24])
+
+    def test_tick_work_does_not_grow_with_the_database(self, emitted):
+        # The bench's standing queries for entities 3-12 and its three kinds
+        # of append: per tick, the re-evaluations and the rows emitted (delta
+        # rule and re-evaluation together) are the same at 24 and 96 groups.
+        counts = {}
+        for groups in (24, 96):
+            mvdb = build_mvdb(DblpConfig(group_count=groups, seed=SEED)).mvdb
+            dispatcher = Dispatcher(MVQueryEngine(mvdb), workers=1)
+            # Registered before the service's tick, so it runs first.
+            dispatcher.add_delta_listener(lambda descriptor: emitted.clear())
+            service = SubscriptionService(dispatcher)
+            try:
+                for spec in subscription_specs(range(3, 13)):
+                    service.subscribe(spec, persist=False)
+                per_tick = []
+                for index in range(3):
+                    evaluations = service.stats()["evaluations_total"]
+                    dispatcher.append_facts(append_payload(index, entity=3))
+                    per_tick.append(
+                        (service.stats()["evaluations_total"] - evaluations, len(emitted))
+                    )
+            finally:
+                service.close()
+                dispatcher.close()
+            counts[groups] = per_tick
+        assert counts[24] == counts[96], counts
+        assert all(evaluations <= 1 for evaluations, __ in counts[24]), counts
 
 
 class TestConcurrentAppendsOnSqlite:

@@ -5,10 +5,13 @@ bar: after **every** ingest tick, every subscription's stored answers —
 fired *and* skipped alike — must be bit-identical to a fresh
 ``ProbDB.query`` over an independent reference database that replayed the
 same appends, on the memory and sqlite backends.  A skipped subscription
-whose answers drifted would falsify the delta-overlap skip rule; a fired
-one would falsify the evaluator itself.
+whose answers drifted would falsify the delta rule; a fired one would
+falsify the evaluator itself.  A second loop checks the rule's selection
+against an independent oracle (satisfying assignments counted before and
+after each append).
 
-Around that: predicate semantics (change vs threshold), the notification
+Around that: predicate semantics (change vs threshold), webhook delivery
+over loopback, the notification
 log's cursor/long-poll contract, registry persistence and restart
 re-arming, log-replay determinism (the fleet's exactly-once foundation:
 replaying the same op log regenerates a byte-identical notification
@@ -18,16 +21,24 @@ must never leak into the query-only latency headline).
 
 from __future__ import annotations
 
+import http.server
 import json
+import random
 import threading
 import time
 
 import pytest
+from test_ingest import w_changing_append
 
 import repro
+from bench.workloads import TEMPLATE_NAMES, append_payload, selective_query
 from repro.dblp.config import DblpConfig
 from repro.dblp.workload import build_mvdb
 from repro.errors import ParseError, ServingError
+from repro.query import evaluator
+from repro.query.cq import ConjunctiveQuery
+from repro.query.evaluator import evaluate_cq
+from repro.query.terms import is_variable
 from repro.serving.dispatch import Dispatcher
 from repro.serving.fleet import replay_entry
 from repro.serving.loadgen import _summarize, dblp_ingest_facts
@@ -144,25 +155,149 @@ def test_every_tick_fired_and_skipped_answers_match_fresh_queries(backend):
 
 
 def test_affiliation_only_delta_skips_disjoint_subscriptions():
-    """The skip rule's driver case: fresh-id Affiliation rows leave every
-    Student/Advisor-template subscription provably untouched."""
+    """The delta rule's driver case: a fresh-id Affiliation row joins no
+    Author, so it derives no row of either subscription and both are
+    skipped, although the affiliation query reads Affiliation; an
+    Affiliation row of an existing matching author derives one, so only
+    that subscription is re-evaluated, and it fires."""
     dispatcher, service = _service()
     try:
         advisor_doc = service.subscribe({"query": STANDING_QUERIES[0]}, persist=False)
         affiliation_doc = service.subscribe({"query": STANDING_QUERIES[2]}, persist=False)
+        by_id = {s.sub_id: s for s in service.registry.ordered()}
+        advisor, affiliation = by_id[advisor_doc["id"]], by_id[affiliation_doc["id"]]
         before = dispatcher.generation
         dispatcher.append_facts(
             {"Affiliation": [[[990001, "Fresh Inst"], 1.5]]}
         )
-        by_id = {s.sub_id: s for s in service.registry.ordered()}
-        assert by_id[advisor_doc["id"]].last_generation == before  # skipped
-        assert by_id[affiliation_doc["id"]].last_generation == dispatcher.generation
+        assert advisor.last_generation == before  # skipped
+        assert affiliation.last_generation == before  # skipped: no Author 990001
         stats = service.stats()
-        assert stats["skips_total"] == 1
+        assert stats["evaluations_total"] == 0
+        assert stats["skips_total"] == 2
+        assert service.notifications()["head"] == 0
+
+        (aid,) = [
+            aid
+            for aid, name in dispatcher.engine.mvdb.database.rows("Author")
+            if "Advisor 0" in name
+        ]
+        dispatcher.append_facts({"Affiliation": [[[aid, "Second Inst"], 1.5]]})
+        assert advisor.last_generation == before  # still skipped
+        assert affiliation.last_generation == dispatcher.generation
+        assert ("Second Inst",) in affiliation.answers
+        stats = service.stats()
         assert stats["evaluations_total"] == 1
+        assert stats["skips_total"] == 3
+        (payload,) = service.notifications()["notifications"]
+        assert payload["subscription"] == affiliation.sub_id
     finally:
         service.close()
         dispatcher.close()
+
+
+#: Subscriptions of the delta-rule test: the bench templates, a UCQ whose
+#: second disjunct alone derives from fresh "Ingest Author" students, a
+#: constant that no appended Author row matches in front of a Student atom
+#: that fresh students do match, a self-join with ``<>`` and a triangle.
+DELTA_RULE_QUERIES = [
+    selective_query(template, entity) for entity in (2, 3) for template in TEMPLATE_NAMES
+] + [
+    "Q(aid) :- Student(aid, year), Advisor(aid, a), Author(a, n), n like '%Advisor 1%' ; "
+    "Q(aid) :- Student(aid, year), Author(aid, n), n like '%Ingest Author%'",
+    "Q(y) :- Author(a, 'Advisor 0'), Student(s, y), y >= 2020",
+    "Q(i) :- Affiliation(a1, i), Affiliation(a2, i), a1 <> a2",
+    "Q(s) :- Advisor(s, a), Wrote(a, p), Wrote(s, p)",
+]
+
+
+def _valuations(ucq, database) -> list[int]:
+    """Per disjunct, how many assignments of all its variables satisfy it."""
+    return [
+        len(evaluate_cq(
+            ConjunctiveQuery(sorted(cq.variables(), key=str), cq.atoms, cq.comparisons),
+            database,
+        ))
+        for cq in ucq.disjuncts
+    ]
+
+
+@pytest.mark.parametrize("backend", [None, "sqlite"])
+def test_delta_rule_selects_exactly_the_affected_subscriptions(backend, monkeypatch):
+    """After every tick, every subscription equals a fresh query bit for bit,
+    and the tick re-evaluated exactly the subscriptions whose lineage
+    variables meet a recompiled component or that gained a satisfying
+    assignment (an independent oracle: valuations counted over the reference
+    database before and after the append).  No Δ atom whose constants match
+    no appended row is ever planned."""
+    config = DblpConfig(group_count=12, seed=SEED)
+    dispatcher = Dispatcher(repro.connect(build_mvdb(config, backend=backend).mvdb).engine)
+    service = SubscriptionService(dispatcher)
+    reference = repro.connect(build_mvdb(config, backend=backend).mvdb)
+    descriptors: list[dict] = []
+    dispatcher.add_delta_listener(descriptors.append)
+    planned: list = []
+    order_atoms = evaluator._order_atoms
+    monkeypatch.setattr(
+        evaluator,
+        "_order_atoms",
+        lambda query, database: (planned.append(query), order_atoms(query, database))[1],
+    )
+    rng = random.Random(7)
+    steps = [("w", step) for step in range(8)]
+    for index in range(3):
+        steps.insert(3 * index + 1, ("payload", index))
+    overlapping_skip = bitmap_only = False
+    try:
+        subscriptions = [
+            service.registry.get(service.subscribe({"query": query}, persist=False)["id"])
+            for query in DELTA_RULE_QUERIES
+        ]
+        database = reference.engine.indb.database
+        before = {s.sub_id: _valuations(s.ucq, database) for s in subscriptions}
+        for kind, index in steps:
+            if kind == "w":
+                facts = w_changing_append(dispatcher.engine.mvdb, rng, index)
+            else:
+                facts = append_payload(index, entity=2)
+            bitmaps = {s.sub_id: s.variables_bitmap for s in subscriptions}
+            del planned[:]
+            dispatcher.append_facts(facts)
+            reference.append_facts(facts)
+            descriptor = descriptors[-1]
+            for query in planned:
+                for atom in query.atoms:
+                    if atom.relation.startswith("Δ"):
+                        rows = descriptor["rows"][atom.relation.lstrip("Δ")]
+                        assert any(
+                            all(
+                                row[position] == term.value
+                                for position, term in enumerate(atom.terms)
+                                if not is_variable(term)
+                            )
+                            for row in rows
+                        ), f"{kind} {index}: planned {atom} although no Δ row matches it"
+            for subscription in subscriptions:
+                after = _valuations(subscription.ucq, database)
+                derived = after != before[subscription.sub_id]
+                before[subscription.sub_id] = after
+                touched = bool(bitmaps[subscription.sub_id] & descriptor["component_bitmap"])
+                evaluated = subscription.last_generation == dispatcher.generation
+                assert evaluated == (derived or touched), (
+                    f"{kind} {index}: {subscription.query!r} evaluated={evaluated}, "
+                    f"derived={derived}, touched={touched}"
+                )
+                assert subscription.answers == _answers(reference.query(subscription.query)), (
+                    f"{kind} {index}: {subscription.query!r} drifted from a fresh query"
+                )
+                overlap = subscription.relations & set(descriptor["relations"])
+                overlapping_skip |= bool(overlap) and not evaluated
+                bitmap_only |= evaluated and not derived
+    finally:
+        service.close()
+        dispatcher.close()
+    assert overlapping_skip, "no tick skipped a subscription that read a Δ relation"
+    assert bitmap_only, "no tick re-evaluated a subscription through the bitmap alone"
 
 
 # ---------------------------------------------------------------- predicates
@@ -273,6 +408,70 @@ def test_notification_log_long_poll_wakes_on_append():
     thread.join(timeout=5.0)
     assert not thread.is_alive()
     assert [entry["seq"] for entry in result["batch"]["notifications"]] == [1]
+
+
+# ------------------------------------------------------------------- webhooks
+class _Receiver(http.server.BaseHTTPRequestHandler):
+    """Loopback webhook endpoint: ``/dead`` always fails, ``/flaky`` fails
+    its first request; every request is recorded as ``(path, body)``."""
+
+    def do_POST(self):  # noqa: N802 - http.server naming
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        received = self.server.received
+        first_flaky = self.path == "/flaky" and all(path != "/flaky" for path, __ in received)
+        status = 500 if self.path == "/dead" or first_flaky else 200
+        received.append((self.path, body))
+        self.send_response(status)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+def test_webhook_delivery_retries_and_dead_letters():
+    receiver = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Receiver)
+    receiver.received = []
+    thread = threading.Thread(target=receiver.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{receiver.server_address[1]}"
+    dispatcher, service = _service()
+    try:
+        for path in ("/flaky", "/dead"):
+            service.subscribe(
+                {
+                    "query": STANDING_QUERIES[2],
+                    "sink": {"kind": "webhook", "url": url + path, "retries": 1,
+                             "backoff_s": 0.01},
+                },
+                persist=False,
+            )
+        # Two hot batches for entity 0: each fires both subscriptions.
+        for batch_index in (0, 6):
+            dispatcher.append_facts(
+                subscription_batch_facts(batch_index, batch_size=1, entities=ENTITIES)
+            )
+        stream = service.notifications()["notifications"]
+        service.close()  # drains the delivery queue
+        stats = service.stats()
+    finally:
+        service.close()
+        dispatcher.close()
+        receiver.shutdown()
+        receiver.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert [entry["seq"] for entry in stream] == [1, 2, 3, 4]
+    # One worker delivers in seq order: each /flaky notification after one
+    # failed attempt at most, each /dead one twice (retries=1), then dropped.
+    assert [(path, body["seq"]) for path, body in receiver.received] == [
+        ("/flaky", 1), ("/flaky", 1), ("/dead", 2), ("/dead", 2),
+        ("/flaky", 3), ("/dead", 4), ("/dead", 4),
+    ]
+    assert receiver.received[1][1] == stream[0]
+    assert stats["delivered_total"] == 2
+    assert stats["delivery_failures_total"] == 5
+    assert stats["dead_letter_total"] == 2
 
 
 # ------------------------------------------------------ persistence / replay
