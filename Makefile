@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test bench coverage docs-check examples lint all
+.PHONY: test bench coverage function-coverage docs-check examples lint all
 
 ## Tier-1 test suite (what CI and the PR pipeline gate on): tests/, the
 ## figure tests under benchmarks/ and bench/test_smoke.py.  Clock-free, and
@@ -28,6 +28,13 @@ bench:
 ## pyproject.toml [tool.coverage.report].
 coverage:
 	$(PYTHON) -m pytest -q --cov=repro --cov-report=term-missing:skip-covered tests
+
+## Function coverage gate (CI): runs tier-1 under a profile hook and fails
+## when a function or method in src/repro was never entered in-process and
+## its def line carries no "# pragma: no cover - <reason>".  Kept out of
+## tier-1: the hook roughly doubles the suite's wall time.
+function-coverage:
+	$(PYTHON) scripts/function_coverage.py
 
 ## Documentation checks: every python block in README.md, docs/api.md,
 ## docs/serving.md and docs/architecture.md must run (with

@@ -67,7 +67,6 @@ from repro.experiments import (
     report,
     scalability_index_build,
     serving_cold_warm,
-    serving_http_loopback,
 )
 
 #: Sub-commands handled by the serving parser rather than the experiment one.
@@ -143,7 +142,6 @@ def _runners() -> dict[str, Callable[[argparse.Namespace], list]]:
             scalability_index_build(_full(args), tuple_targets=_scale_targets(args))
         ],
         "serving": lambda args: [serving_cold_warm(_full(args))],
-        "serving-http": lambda args: [serving_http_loopback(_full(args))],
     }
 
 
@@ -529,7 +527,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - 'repro serve' child process
     import repro
     from repro.dblp.config import DblpConfig
     from repro.dblp.workload import build_mvdb
@@ -665,7 +663,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> int:  # pragma: no cover - 'repro ingest' child process
     from repro.serving.loadgen import WorkloadMix, run_ingest
 
     mix = WorkloadMix(entities=args.entities, zipf_exponent=args.zipf)

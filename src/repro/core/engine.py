@@ -720,10 +720,6 @@ class MVQueryEngine:
                 self._p0_w = shannon_probability(self.w_lineage, self.probabilities)
         return self._p0_w
 
-    def p0_not_w(self) -> float:
-        """``P0(¬W)``."""
-        return 1.0 - self.p0_w()
-
     # ------------------------------------------------------------- validation
     @property
     def has_nonstandard_probabilities(self) -> bool:
@@ -752,10 +748,6 @@ class MVQueryEngine:
                 "weight > 1); use an exact method such as 'mvindex'"
             )
         return resolved
-
-    def validate_method(self, method: str) -> None:
-        """Reject unknown or incapable evaluation methods."""
-        self.resolve_method(method)
 
     def validate_query(self, query: UCQ | ConjunctiveQuery) -> None:
         """Reject queries over the translated ``NV_*`` relations.

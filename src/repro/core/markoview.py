@@ -76,11 +76,6 @@ class MarkoView:
         """Name of the fresh ``NV`` relation introduced by the translation."""
         return f"NV_{self.name}"
 
-    @property
-    def arity(self) -> int:
-        """Number of output attributes of the view."""
-        return len(self.query.head)
-
     def weight_of(self, row: tuple[Any, ...]) -> float:
         """Weight asserted by the view for the output tuple ``row``."""
         if callable(self.weight):
@@ -99,6 +94,6 @@ class MarkoView:
         """True if the view has the constant weight 0 (a hard denial constraint)."""
         return not callable(self.weight) and float(self.weight) == 0.0
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         weight = "fn" if callable(self.weight) else f"{self.weight:g}"
         return f"MarkoView({self.name}[{weight}] :- {self.query!r})"

@@ -22,7 +22,7 @@ its ``backend=`` parameter.
 Table objects returned by :meth:`StorageBackend.create_table` implement the
 informal relation protocol of :class:`~repro.db.table.Table`: ``insert`` /
 ``insert_many`` / ``delete`` / ``__contains__`` / ``__iter__`` / ``__len__``
-/ ``rows`` / ``scan`` / ``lookup`` / ``project`` / ``active_domain`` plus
+/ ``rows`` / ``scan`` / ``lookup`` / ``distinct_count`` / ``active_domain`` plus
 the ``schema`` and ``name`` attributes.  The query evaluator and every
 layer above it only ever speak this protocol, so backends are freely
 interchangeable — the differential harness in ``tests/test_differential.py``
@@ -59,17 +59,17 @@ class StorageBackend(Protocol):
     #: Short backend name (``"memory"`` or ``"sqlite"``).
     name: str
 
-    def create_table(
+    def create_table(  # pragma: no cover - protocol stub
         self, schema: "RelationSchema", rows: Iterable[Sequence[Any]] = ()
     ) -> Any:
         """Create an empty relation for ``schema`` and bulk-load ``rows``."""
         ...  # pragma: no cover - protocol
 
-    def spawn(self) -> "StorageBackend":
+    def spawn(self) -> "StorageBackend":  # pragma: no cover - protocol stub
         """A fresh sibling backend of the same kind (for copies/migrations)."""
         ...  # pragma: no cover - protocol
 
-    def close(self) -> None:
+    def close(self) -> None:  # pragma: no cover - protocol stub
         """Release any resources (files, connections) held by the backend."""
         ...  # pragma: no cover - protocol
 

@@ -140,11 +140,6 @@ class SqliteBackend:
         table.insert_many(rows)
         return table
 
-    def journal_mode(self) -> str:
-        """The journal mode actually in effect (``"wal"`` on disk files)."""
-        with self.lock:
-            return self.connection.execute("PRAGMA journal_mode").fetchone()[0]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SqliteBackend({str(self.path)!r})"
 
@@ -342,11 +337,6 @@ class SqliteTable:
             )
             return cursor.fetchall()
 
-    def lookup_by_attributes(self, **bindings: Any) -> list[Row]:
-        """Like :meth:`lookup` but keyed by attribute name."""
-        positional = {self.schema.position_of(name): value for name, value in bindings.items()}
-        return self.lookup(positional)
-
     def scan(self, bindings: dict[int, Any] | None = None) -> Iterator[Row]:
         """Stream rows matching ``bindings`` in batches (constant memory)."""
         bindings = bindings or {}
@@ -365,17 +355,6 @@ class SqliteTable:
             yield from batch
             with self.backend.lock:
                 batch = cursor.fetchmany(SCAN_BATCH)
-
-    def project(self, attributes: Sequence[str]) -> list[Row]:
-        """Distinct projection, in first-occurrence order (as in memory)."""
-        positions = [self.schema.position_of(a) for a in attributes]
-        column_list = ", ".join(f"c{p}" for p in positions)
-        with self.backend.lock:
-            cursor = self.backend.connection.execute(
-                f"SELECT {column_list} FROM {self._sql_name} "
-                f"GROUP BY {column_list} ORDER BY MIN(rowid)"
-            )
-            return cursor.fetchall()
 
     def active_domain(self) -> set[Any]:
         """All constants appearing anywhere in the table."""

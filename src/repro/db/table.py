@@ -132,11 +132,6 @@ class Table:
         key = tuple(bindings[p] for p in positions)
         return list(index.get(key, ()))
 
-    def lookup_by_attributes(self, **bindings: Any) -> list[Row]:
-        """Like :meth:`lookup` but keyed by attribute name."""
-        positional = {self.schema.position_of(name): value for name, value in bindings.items()}
-        return self.lookup(positional)
-
     def scan(self, bindings: dict[int, Any] | None = None) -> Iterator[Row]:
         """Stream rows matching ``bindings`` (protocol twin of the sqlite scan)."""
         if not bindings:
@@ -160,24 +155,12 @@ class Table:
             self._distinct[position] = count
         return count
 
-    def project(self, attributes: Sequence[str]) -> list[Row]:
-        """Distinct projection onto the given attributes (preserving order)."""
-        positions = [self.schema.position_of(a) for a in attributes]
-        seen: dict[Row, None] = {}
-        for row in self._rows:
-            seen[tuple(row[p] for p in positions)] = None
-        return list(seen)
-
     def active_domain(self) -> set[Any]:
         """All constants appearing anywhere in the table."""
         values: set[Any] = set()
         for row in self._rows:
             values.update(row)
         return values
-
-    def copy(self) -> "Table":
-        """A shallow copy (rows shared by value; indexes rebuilt lazily)."""
-        return Table(self.schema, self._rows, validate=self._validate)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.schema.name}, {len(self)} rows)"

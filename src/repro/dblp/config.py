@@ -51,9 +51,3 @@ class DblpConfig:
     advisor_min_papers: int = 2
     #: Random seed for reproducibility.
     seed: int = 0
-
-    def scaled(self, group_count: int) -> "DblpConfig":
-        """A copy of this configuration with a different number of groups."""
-        from dataclasses import replace
-
-        return replace(self, group_count=group_count)

@@ -60,14 +60,6 @@ class DblpData:
     #: institution name of each group.
     institutions: list[str] = field(default_factory=list)
 
-    def author_name(self, aid: int) -> str:
-        """Name of an author."""
-        for row_aid, name in self.database.rows("Author"):
-            if row_aid == aid:
-                return name
-        raise KeyError(aid)
-
-
 def generate_dblp(config: DblpConfig | None = None, backend: Any = None) -> DblpData:
     """Generate the deterministic DBLP-style database described in Fig. 1.
 

@@ -42,15 +42,6 @@ class ProbabilisticTables:
     #: (aid1, aid2) -> number of recent co-authored papers (feeds V3).
     recent_copub_count: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def sizes(self) -> dict[str, int]:
-        """Row counts, for the Fig. 1 inventory."""
-        return {
-            "Student": len(self.student),
-            "Advisor": len(self.advisor),
-            "Affiliation": len(self.affiliation),
-        }
-
-
 def build_probabilistic_tables(data: DblpData) -> ProbabilisticTables:
     """Materialise Studentp, Advisorp, Affiliationp from the deterministic tables."""
     config = data.config
@@ -118,11 +109,6 @@ def build_probabilistic_tables(data: DblpData) -> ProbabilisticTables:
         tables.affiliation[(aid, inst)] = math.exp(0.1 * count)
 
     return tables
-
-
-def top_weighted(rows: dict, limit: int = 10) -> list[tuple]:
-    """The ``limit`` heaviest rows of a probabilistic table (debugging helper)."""
-    return sorted(rows.items(), key=lambda item: -item[1])[:limit]
 
 
 def iter_weighted_rows(rows: dict) -> Iterable[tuple[tuple, float]]:

@@ -9,7 +9,6 @@ from repro.experiments.queries import (
     full_workload,
     scalability_index_build,
     serving_cold_warm,
-    serving_http_loopback,
 )
 from repro.experiments.sweeps import (
     SweepSettings,
@@ -40,7 +39,6 @@ __all__ = [
     "report",
     "scalability_index_build",
     "serving_cold_warm",
-    "serving_http_loopback",
     "sweep_aid_values",
     "time_call",
 ]

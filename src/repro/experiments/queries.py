@@ -223,73 +223,6 @@ def scalability_index_build(
 
 
 # ------------------------------------------------------------ serving layer
-def serving_http_loopback(
-    settings: FullDatasetSettings | None = None,
-    workload: DblpWorkload | None = None,
-    engine: MVQueryEngine | None = None,
-) -> ExperimentResult:
-    """Over-the-wire serving: closed-loop HTTP load against a loopback server.
-
-    Starts a :class:`repro.serving.server.ProbServer` on an ephemeral
-    loopback port and drives it with the zipf-skewed DBLP workload mix
-    (:mod:`repro.serving.loadgen`), one cold round and one warm round.
-    Reports throughput, latency percentiles and the per-tier cache hit
-    counts of the dispatcher.  A quick look, not evidence: the measured
-    serving numbers are ``bench/``'s ``serve_zipf`` and ``fleet_hot``.
-    """
-    from repro.serving.loadgen import WorkloadMix, run_closed
-    from repro.serving.server import ProbServer
-
-    settings = settings or FullDatasetSettings()
-    workload = workload or full_workload(settings)
-    engine = engine or MVQueryEngine(workload.mvdb)
-    result = ExperimentResult(
-        name="serving_http",
-        description="Closed-loop HTTP serving over loopback (cold round, then warm)",
-        columns=[
-            "round",
-            "concurrency",
-            "requests",
-            "qps",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "rejected",
-            "errors",
-            "string_hits",
-            "result_hits",
-        ],
-    )
-    mix = WorkloadMix(entities=max(2, min(settings.query_count, settings.group_count)))
-    server = ProbServer(engine, workers=2, max_queue=64).start()
-    try:
-        previous = server.dispatcher.cache_stats()
-        for label, duration in (("cold", 0.5), ("warm", 1.5)):
-            report = run_closed(
-                server.url, duration_s=duration, concurrency=4, mix=mix, seed=settings.seed
-            )
-            # The dispatcher's counters are cumulative since server start;
-            # report per-round deltas so the warm row shows only its own hits.
-            cache = server.dispatcher.cache_stats()
-            result.add_row(
-                round=label,
-                concurrency=report.concurrency,
-                requests=report.requests,
-                qps=report.qps,
-                p50_ms=report.latency_ms["p50_ms"],
-                p95_ms=report.latency_ms["p95_ms"],
-                p99_ms=report.latency_ms["p99_ms"],
-                rejected=report.rejected,
-                errors=report.server_errors + report.transport_errors,
-                string_hits=cache["string"]["hits"] - previous["string"]["hits"],
-                result_hits=cache["result"]["hits"] - previous["result"]["hits"],
-            )
-            previous = cache
-    finally:
-        server.stop()
-    return result
-
-
 def serving_cold_warm(
     settings: FullDatasetSettings | None = None,
     workload: DblpWorkload | None = None,

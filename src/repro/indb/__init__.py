@@ -1,20 +1,17 @@
 """Tuple-independent probabilistic databases (weights, INDB, possible worlds)."""
 
-from repro.indb.database import TupleIndependentDatabase, indb_from_probabilities
+from repro.indb.database import TupleIndependentDatabase
 from repro.indb.weights import (
     CERTAIN_WEIGHT,
     markoview_weight_to_indb_weight,
     probability_to_weight,
-    validate_tuple_weight,
     weight_to_probability,
 )
 
 __all__ = [
     "CERTAIN_WEIGHT",
     "TupleIndependentDatabase",
-    "indb_from_probabilities",
     "markoview_weight_to_indb_weight",
     "probability_to_weight",
-    "validate_tuple_weight",
     "weight_to_probability",
 ]

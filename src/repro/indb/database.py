@@ -20,7 +20,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.db.database import Database
 from repro.db.table import Row
-from repro.errors import InferenceError, SchemaError, WeightError
+from repro.errors import SchemaError, WeightError
 from repro.indb.weights import CERTAIN_WEIGHT, weight_to_probability
 from repro.lineage.dnf import DNF
 from repro.lineage.enumeration import enumerate_worlds
@@ -63,12 +63,6 @@ class TupleIndependentDatabase:
             self.add_probabilistic_tuple(name, row, weight)
         return table
 
-    def mark_probabilistic(self, name: str) -> None:
-        """Mark an existing (empty or deterministic) relation as probabilistic."""
-        if name not in self.database:
-            raise SchemaError(f"cannot mark unknown relation {name!r} as probabilistic")
-        self._probabilistic.add(name)
-
     def add_probabilistic_tuple(self, relation: str, row: Sequence[Any], weight: float) -> int:
         """Insert a possible tuple with the given weight; returns its variable id.
 
@@ -97,10 +91,6 @@ class TupleIndependentDatabase:
     def probabilistic_relations(self) -> set[str]:
         """Names of the probabilistic relations."""
         return set(self._probabilistic)
-
-    def deterministic_relations(self) -> set[str]:
-        """Names of the deterministic relations."""
-        return set(self.database.relation_names()) - self._probabilistic
 
     def is_probabilistic(self, relation: str) -> bool:
         """True if ``relation`` is probabilistic."""
@@ -227,31 +217,3 @@ class TupleIndependentDatabase:
             f"TupleIndependentDatabase({len(self._probabilistic)} probabilistic relations, "
             f"{self.tuple_count()} possible tuples)"
         )
-
-
-def indb_from_probabilities(
-    deterministic: Mapping[str, tuple[Sequence[str], Iterable[Sequence[Any]]]],
-    probabilistic: Mapping[str, tuple[Sequence[str], Iterable[tuple[Sequence[Any], float]]]],
-) -> TupleIndependentDatabase:
-    """Build an INDB from dictionaries of deterministic/probabilistic relations.
-
-    ``probabilistic`` maps a relation name to ``(attributes, [(row, probability)])``
-    — note *probabilities*, not weights; they are converted internally.
-    """
-    from repro.indb.weights import probability_to_weight
-
-    indb = TupleIndependentDatabase()
-    for name, (attributes, rows) in deterministic.items():
-        indb.add_deterministic_table(name, attributes, rows)
-    for name, (attributes, weighted_rows) in probabilistic.items():
-        indb.add_probabilistic_table(
-            name,
-            attributes,
-            ((row, probability_to_weight(probability)) for row, probability in weighted_rows),
-        )
-    return indb
-
-
-def raise_if_unusable(ex: Exception) -> None:  # pragma: no cover - defensive helper
-    """Re-raise unexpected exceptions as :class:`InferenceError`."""
-    raise InferenceError(str(ex)) from ex

@@ -63,10 +63,3 @@ def markoview_weight_to_indb_weight(view_weight: float) -> float:
     if view_weight == 0.0:
         return CERTAIN_WEIGHT
     return (1.0 - view_weight) / view_weight
-
-
-def validate_tuple_weight(weight: float) -> float:
-    """Validate a weight attached to a base probabilistic tuple (must be ≥ 0)."""
-    if weight < 0 or math.isnan(weight):
-        raise WeightError(f"tuple weights must be non-negative numbers, got {weight}")
-    return float(weight)

@@ -75,11 +75,6 @@ class DNF:
         """The lineage of a single probabilistic tuple."""
         return DNF([[var]])
 
-    @staticmethod
-    def clause(variables: Iterable[int]) -> "DNF":
-        """A single-conjunct lineage."""
-        return DNF([frozenset(variables)])
-
     # ------------------------------------------------------------- inspection
     @property
     def is_false(self) -> bool:
@@ -135,7 +130,7 @@ class DNF:
         allowed = set(variables)
         return DNF(clause for clause in self.clauses if clause <= allowed)
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_false:
             return "DNF(false)"
         if self.is_true:

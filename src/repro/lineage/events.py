@@ -17,11 +17,11 @@ from repro.lineage.dnf import DNF
 class Event:
     """Base class for Boolean event expressions over integer variables."""
 
-    def variables(self) -> frozenset[int]:
+    def variables(self) -> frozenset[int]:  # pragma: no cover - abstract stub
         """All variables mentioned by the expression."""
         raise NotImplementedError
 
-    def evaluate(self, assignment: dict[int, bool]) -> bool:
+    def evaluate(self, assignment: dict[int, bool]) -> bool:  # pragma: no cover - abstract stub
         """Evaluate under a (total) assignment."""
         raise NotImplementedError
 
@@ -46,7 +46,7 @@ class TrueEvent(Event):
     def evaluate(self, assignment: dict[int, bool]) -> bool:
         return True
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "⊤"
 
 
@@ -60,7 +60,7 @@ class FalseEvent(Event):
     def evaluate(self, assignment: dict[int, bool]) -> bool:
         return False
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "⊥"
 
 
@@ -80,7 +80,7 @@ class Var(Event):
     def evaluate(self, assignment: dict[int, bool]) -> bool:
         return bool(assignment.get(self.index, False))
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"x{self.index}"
 
 
@@ -96,7 +96,7 @@ class Not(Event):
     def evaluate(self, assignment: dict[int, bool]) -> bool:
         return not self.operand.evaluate(assignment)
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"¬({self.operand!r})"
 
 
@@ -118,7 +118,7 @@ class And(Event):
     def evaluate(self, assignment: dict[int, bool]) -> bool:
         return all(operand.evaluate(assignment) for operand in self.operands)
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return " ∧ ".join(f"({operand!r})" for operand in self.operands) or "⊤"
 
 
@@ -140,7 +140,7 @@ class Or(Event):
     def evaluate(self, assignment: dict[int, bool]) -> bool:
         return any(operand.evaluate(assignment) for operand in self.operands)
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return " ∨ ".join(f"({operand!r})" for operand in self.operands) or "⊥"
 
 

@@ -67,7 +67,7 @@ class InferenceMethod:
     #: One-line description shown by ``repro.methods.describe()``.
     description: str = ""
 
-    def probability(
+    def probability(  # pragma: no cover - abstract stub
         self,
         engine: "MVQueryEngine",
         lineage: DNF,
@@ -106,10 +106,10 @@ class _TheoremOneMethod(InferenceMethod):
         p0_q_or_w = self._combined(engine, lineage, combined, statistics)
         return theorem1_probability(p0_q_or_w, p0_w)
 
-    def _independent(self, engine, lineage, statistics) -> float:
+    def _independent(self, engine, lineage, statistics) -> float:  # pragma: no cover - abstract stub
         raise NotImplementedError
 
-    def _combined(self, engine, lineage, combined, statistics) -> float:
+    def _combined(self, engine, lineage, combined, statistics) -> float:  # pragma: no cover - abstract stub
         raise NotImplementedError
 
 

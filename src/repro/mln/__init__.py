@@ -1,8 +1,8 @@
 """Markov Logic Network substrate: grounding, exact, Gibbs and MC-SAT inference."""
 
 from repro.mln.exact import marginals, partition_function, query_probability
-from repro.mln.gibbs import GibbsSampler, gibbs_query_probability
-from repro.mln.mcsat import Constraint, McSatSampler, SampleSat, mcsat_query_probability
+from repro.mln.gibbs import GibbsSampler
+from repro.mln.mcsat import Constraint, McSatSampler, SampleSat
 from repro.mln.model import (
     GroundFeature,
     MarkovLogicNetwork,
@@ -18,9 +18,7 @@ __all__ = [
     "McSatSampler",
     "SampleSat",
     "features_as_constraints",
-    "gibbs_query_probability",
     "marginals",
-    "mcsat_query_probability",
     "mln_from_mvdb",
     "partition_function",
     "query_probability",

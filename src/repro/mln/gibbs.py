@@ -84,14 +84,3 @@ class GibbsSampler:
             if formula.evaluate(self.state):
                 hits += 1
         return hits / samples
-
-
-def gibbs_query_probability(
-    mln: MarkovLogicNetwork,
-    formula: DNF,
-    samples: int = 500,
-    burn_in: int = 50,
-    seed: int | None = 0,
-) -> float:
-    """Convenience wrapper: estimate ``P(formula)`` with a fresh sampler."""
-    return GibbsSampler(mln, seed=seed).estimate_query(formula, samples=samples, burn_in=burn_in)

@@ -222,14 +222,3 @@ class McSatSampler:
                 if present:
                     counts[variable] += 1
         return {variable: count / total for variable, count in counts.items()}
-
-
-def mcsat_query_probability(
-    mln: MarkovLogicNetwork,
-    formula: DNF,
-    samples: int = 300,
-    burn_in: int = 30,
-    seed: int | None = 0,
-) -> float:
-    """Convenience wrapper: estimate ``P(formula)`` with a fresh MC-SAT chain."""
-    return McSatSampler(mln, seed=seed).estimate_query(formula, samples=samples, burn_in=burn_in)

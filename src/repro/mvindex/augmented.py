@@ -140,10 +140,6 @@ class AugmentedObdd:
         """Maximum number of nodes on a single level."""
         return max((len(bucket) for bucket in self.nodes_by_level.values()), default=0)
 
-    def levels(self) -> set[int]:
-        """Levels (tuple variables) mentioned by the OBDD."""
-        return set(self.nodes_by_level)
-
     def nodes_at_level(self, level: int) -> list[int]:
         """All nodes labelled with ``level`` (the IntraBddIndex of the paper)."""
         return list(self.nodes_by_level.get(level, ()))

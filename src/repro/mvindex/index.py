@@ -66,7 +66,7 @@ class IndexedComponent:
         return self.obdd.probability
 
 
-def _compile_shard(
+def _compile_shard(  # pragma: no cover - runs in a worker process of the sharded build
     clause_lists: Sequence[Sequence[Clause]],
     order_variables: Sequence[int],
     construction: str,

@@ -203,15 +203,6 @@ class SummaryStore:
     def __len__(self) -> int:
         return len(self._summaries)
 
-    def __contains__(self, key: int) -> bool:
-        return key in self._summaries
-
-    def summary_of(self, key: int) -> ComponentSummary:
-        return self._summaries[key]
-
-    def keys(self) -> list[int]:
-        return sorted(self._summaries)
-
     # -------------------------------------------------------------- mutation
     def add(self, summary: ComponentSummary) -> None:
         """Register one component summary (O(summary))."""

@@ -16,9 +16,9 @@ table and the per-operation caches are keyed by packed integers rather than
 tuples, and node creation is inlined into the hot loop.  Nothing here ever
 recurses to the depth of the OBDD, so formulas over hundreds of thousands of
 variables compile without touching the interpreter recursion limit (the old
-kernel needed ``sys.setrecursionlimit`` escapes; see
-:mod:`repro.obdd.reference` for the retained recursive reference
-implementation used by the equivalence tests).
+kernel needed ``sys.setrecursionlimit`` escapes; the retained recursive
+reference implementation, ``tests/obdd_reference.py``, is the oracle of the
+equivalence tests).
 
 The flat-array representation also gives the manager a *stable
 serialization*: :meth:`ObddManager.export_nodes` walks the nodes reachable
@@ -73,7 +73,7 @@ class ObddManager:
         self.apply_steps = 0
 
     # ----------------------------------------------------------------- nodes
-    def node_count(self) -> int:
+    def node_count(self) -> int:  # pragma: no cover - growth probe; only __repr__ calls it
         """Total number of nodes ever created (including the two terminals)."""
         return len(self._level)
 
@@ -797,18 +797,6 @@ class ObddManager:
         if root <= ONE:
             return float(root == ONE)
         return self.prob_under_map(root, probability_of_level)[root]
-
-    def levels_in(self, root: int) -> set[int]:
-        """The set of variable levels appearing in the OBDD rooted at ``root``."""
-        return {self._level[node] for node in self.reachable_nodes(root)}
-
-    def clear_caches(self) -> None:
-        """Drop the operation caches (unique table is kept)."""
-        self._or_cache.clear()
-        self._and_cache.clear()
-        self._negate_cache.clear()
-        self._multi_and_cache.clear()
-        self._multi_or_cache.clear()
 
     # ---------------------------------------------------------- serialization
     def export_nodes(self, roots: Iterable[int]) -> dict[str, list]:

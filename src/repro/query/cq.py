@@ -117,7 +117,7 @@ class ConjunctiveQuery:
             )
         return self.substitute(dict(zip(self.head, values)))
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         head = ", ".join(v.name for v in self.head)
         body = ", ".join([repr(a) for a in self.atoms] + [repr(c) for c in self.comparisons])
         return f"{self.name}({head}) :- {body}"

@@ -19,10 +19,7 @@ Each join step either
   queries fast), or
 * **builds a hash table** over the atom's rows — with constants and row
   filters pushed down into the scan — and probes it with the intermediate
-  result; when the build side exceeds :data:`DEFAULT_BUILD_BUDGET` rows, the
-  join falls back to **grace partitioning**: build and probe sides are split
-  by a deterministic hash of the join key and joined partition by partition,
-  bounding the resident build-table size at ``build_side / GRACE_PARTITIONS``.
+  result.
 
 Intermediate tuples are projected onto the variables still needed
 downstream, so wide joins do not drag dead columns along.  For every answer
@@ -32,16 +29,14 @@ exactly the ``(tuple, event)`` stream the ConOBDD compiler consumes.  Which
 tuples are probabilistic (and which Boolean variable they map to) is
 supplied through a :class:`LineageProvider`.
 
-Both storage backends expose insertion-ordered scans and lookups, and the
-grace partitioner uses a content-based hash (:func:`zlib.crc32` over
-``repr``), so the pipeline is fully deterministic: the same database
-content yields the same derivation stream — and bit-identical
-probabilities — on either backend, across processes.
+Both storage backends expose insertion-ordered scans and lookups, so the
+pipeline is fully deterministic: the same database content yields the same
+derivation stream — and bit-identical probabilities — on either backend,
+across processes.
 """
 
 from __future__ import annotations
 
-import zlib
 from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -53,12 +48,6 @@ from repro.query.atoms import Atom, Comparison
 from repro.query.cq import ConjunctiveQuery
 from repro.query.terms import Variable, is_variable
 from repro.query.ucq import UCQ, as_ucq
-
-#: Build-side row budget above which a hash join grace-partitions.
-DEFAULT_BUILD_BUDGET = 200_000
-
-#: Number of grace partitions (resident build memory ~ build/partitions).
-GRACE_PARTITIONS = 16
 
 #: Intermediate-result size up to which index probing beats a hash build.
 INDEX_PROBE_THRESHOLD = 64
@@ -78,7 +67,7 @@ _Plan = tuple[float, float, tuple[int, ...]]
 class LineageProvider(Protocol):
     """Maps rows of probabilistic relations to Boolean tuple variables."""
 
-    def variable_for(self, relation: str, row: Row) -> int | None:
+    def variable_for(self, relation: str, row: Row) -> int | None:  # pragma: no cover - protocol stub
         """Variable id of a probabilistic tuple, or ``None`` if deterministic."""
 
 
@@ -289,12 +278,6 @@ def _pending_comparisons(
     return [c for c in comparisons if all(v in bound for v in c.variables())]
 
 
-def _grace_partition(key: tuple[Any, ...]) -> int:
-    """Deterministic partition of a join key (stable across processes)."""
-    data = repr(key).encode("utf-8", "backslashreplace")
-    return zlib.crc32(data) % GRACE_PARTITIONS
-
-
 #: One intermediate tuple: projected variable values + lineage clause so far.
 _Item = tuple[tuple[Any, ...], frozenset[int]]
 
@@ -412,37 +395,15 @@ def _index_probe(step: _JoinStep, items: list[_Item], table: Any) -> list[_Item]
     return out
 
 
-def _build_rows(step: _JoinStep, table: Any, partition: int | None) -> Iterable[Row]:
-    """Scan the build side with constants pushed down and row filters applied."""
-    rows = step.filtered(table.scan(dict(step.const_bindings)))
-    if partition is None:
-        return rows
-    return (row for row in rows if _grace_partition(step.build_key(row)) == partition)
-
-
-def _hash_join(
-    step: _JoinStep, items: list[_Item], table: Any, build_budget: int
-) -> list[_Item]:
-    """Build/probe regime, grace-partitioned when the build side is too big."""
+def _hash_join(step: _JoinStep, items: list[_Item], table: Any) -> list[_Item]:
+    """Build/probe regime: hash the filtered scan, probe it with every item."""
     out: list[_Item] = []
-    if len(table) > build_budget and step.join_by_pos:
-        # Grace fallback: split probe side by join-key hash once, then build
-        # one bounded partition of the table at a time.
-        probe_parts: list[list[_Item]] = [[] for __ in range(GRACE_PARTITIONS)]
-        for item in items:
-            probe_parts[_grace_partition(step.probe_key(item[0]))].append(item)
-        partitions: list[tuple[int | None, list[_Item]]] = [
-            (p, part) for p, part in enumerate(probe_parts) if part
-        ]
-    else:
-        partitions = [(None, items)]
-    for partition, probe_items in partitions:
-        build: dict[tuple[Any, ...], list[Row]] = {}
-        for row in _build_rows(step, table, partition):
-            build.setdefault(step.build_key(row), []).append(row)
-        for env, clause in probe_items:
-            for row in build.get(step.probe_key(env), ()):
-                step.emit(env, clause, row, out)
+    build: dict[tuple[Any, ...], list[Row]] = {}
+    for row in step.filtered(table.scan(dict(step.const_bindings))):
+        build.setdefault(step.build_key(row), []).append(row)
+    for env, clause in items:
+        for row in build.get(step.probe_key(env), ()):
+            step.emit(env, clause, row, out)
     return out
 
 
@@ -451,22 +412,12 @@ def evaluate_cq(
     database: Database,
     lineage: LineageProvider | None = None,
     result: QueryResult | None = None,
-    build_budget: int | None = None,
 ) -> QueryResult:
-    """Evaluate a conjunctive query, returning answers with lineage.
-
-    ``build_budget`` caps the resident build side of each hash join before
-    grace partitioning kicks in (default :data:`DEFAULT_BUILD_BUDGET`).
-    """
+    """Evaluate a conjunctive query, returning answers with lineage."""
     if result is None:
         result = QueryResult(query.head)
     return _run_pipeline(
-        query,
-        _order_atoms(query, database),
-        database,
-        lineage or NoLineage(),
-        result,
-        DEFAULT_BUILD_BUDGET if build_budget is None else build_budget,
+        query, _order_atoms(query, database), database, lineage or NoLineage(), result
     )
 
 
@@ -476,7 +427,6 @@ def _run_pipeline(
     database: Database,
     provider: LineageProvider,
     result: QueryResult,
-    budget: int,
 ) -> QueryResult:
     """Run the left-deep pipeline over ``ordered_atoms`` (any permutation)."""
     # Pre-compute which comparisons become checkable after each join step.
@@ -518,7 +468,7 @@ def _run_pipeline(
         if (step.join_by_pos or step.const_bindings) and small_probe:
             items = _index_probe(step, items, table)
         else:
-            items = _hash_join(step, items, table, budget)
+            items = _hash_join(step, items, table)
         slots = step.out_slots
         if not items:
             return result
@@ -533,7 +483,6 @@ def evaluate_ucq(
     query: UCQ | ConjunctiveQuery,
     database: Database,
     lineage: LineageProvider | None = None,
-    build_budget: int | None = None,
 ) -> QueryResult:
     """Evaluate a UCQ (or a single CQ) with lineage.
 
@@ -544,7 +493,7 @@ def evaluate_ucq(
     ucq = as_ucq(query)
     result = QueryResult(ucq.head)
     for disjunct in ucq.disjuncts:
-        evaluate_cq(disjunct, database, lineage, result, build_budget=build_budget)
+        evaluate_cq(disjunct, database, lineage, result)
     return result
 
 

@@ -70,7 +70,7 @@ class UnionOfConjunctiveQueries:
             self.disjuncts + tuple(other_disjuncts), name=name or self.name
         )
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return " ∨ ".join(repr(cq) for cq in self.disjuncts)
 
 

@@ -258,7 +258,7 @@ class _Connection:
             return response.status, answers
         return 0, 0  # pragma: no cover - unreachable
 
-    def post_json(self, path: str, payload: dict[str, Any]) -> int:
+    def post_json(self, path: str, payload: dict[str, Any]) -> int:  # pragma: no cover - only run_ingest calls it
         """POST one JSON document; returns the status (0 on transport failure).
 
         The write-path sibling of :meth:`post_query` (``/v1/append`` and
@@ -509,7 +509,7 @@ def dblp_ingest_facts(
     }
 
 
-def run_ingest(
+def run_ingest(  # pragma: no cover - 'repro ingest' load driver, untested
     url: str,
     duration_s: float = 15.0,
     concurrency: int = 4,

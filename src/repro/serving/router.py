@@ -347,10 +347,6 @@ class Router:
         finally:
             self._serving = False
 
-    @property
-    def active_requests(self) -> int:
-        return self.requests.count
-
     def stop(self, grace: float = 5.0) -> None:
         """Drain in-flight requests, close the socket, stop the fleet."""
         if self._http is not None:
@@ -368,10 +364,10 @@ class Router:
                     pool.pop().close()
         self.fleet.stop(grace=grace)
 
-    def __enter__(self) -> "Router":
+    def __enter__(self) -> "Router":  # pragma: no cover - sugar over start()
         return self.start()
 
-    def __exit__(self, *exc_info: Any) -> None:
+    def __exit__(self, *exc_info: Any) -> None:  # pragma: no cover - sugar over stop()
         self.stop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

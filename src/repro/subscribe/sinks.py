@@ -44,11 +44,6 @@ class NotificationLog:
         self._dropped = 0
 
     # -------------------------------------------------------------- appending
-    def next_seq(self) -> int:
-        """The seq the next appended notification will get."""
-        with self._condition:
-            return self._head + 1
-
     def append(self, notification: dict[str, Any]) -> int:
         """Assign the next seq, retain the entry, wake long-pollers."""
         with self._condition:

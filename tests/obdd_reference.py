@@ -4,11 +4,11 @@ The production kernel in :mod:`repro.obdd.manager` synthesises OBDDs with an
 explicit work stack, packed-integer caches and an inlined unique table.
 This module retains the original *recursive* Shannon-expansion kernel with
 per-kernel memo dictionaries, exactly as the seed implementation computed
-it, as the oracle of the equivalence test suite
-(``tests/test_obdd_reference.py``): both kernels must produce identical
-node tables, model counts, probabilities and apply-step counts over
-randomized DNFs and variable orders — reduced OBDDs are canonical for a
-fixed order, so any divergence is a kernel bug.
+it, as the oracle of the equivalence test suite (``test_obdd_reference.py``
+beside this file): both kernels must produce identical node tables, model
+counts, probabilities and apply-step counts over randomized DNFs and
+variable orders — reduced OBDDs are canonical for a fixed order, so any
+divergence is a kernel bug.
 
 The reference kernel recurses to the depth of the OBDD and is therefore
 only usable on small formulas; the production kernel has no such limit.

@@ -228,3 +228,35 @@ class TestServingCli:
         capsys.readouterr()
         assert main(["load-index", str(artifact), "--query", "Q(aid) :- "]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestSubscriptionCli:
+    """``subscribe`` and ``notify-listen`` against an in-process server."""
+
+    @staticmethod
+    def _engine():
+        mvdb = repro.MVDB()
+        mvdb.add_probabilistic_table("R", ["x"], [(("a",), 1.0), (("b",), 0.5)])
+        mvdb.add_probabilistic_table("S", ["x"], [(("a",), 2.0)])
+        mvdb.add_markoview(repro.MarkoView("V", repro.parse_query("V(x) :- R(x), S(x)"), 0.25))
+        return repro.connect(mvdb).engine
+
+    def test_subscribe_then_notify_listen_prints_the_notification(self, capsys):
+        from repro.serving.server import ProbServer
+
+        with ProbServer(self._engine(), port=0, workers=1) as server:
+            url = server.url
+            assert main(["subscribe", "--url", url, "Q(x) :- R(x)", "--threshold", ">=0.3"]) == 0
+            registered = json.loads(capsys.readouterr().out)
+            assert registered["predicate"] == {"kind": "threshold", "op": ">=", "value": 0.3}
+            repro.connect_remote(url).append_facts({"R": [[["c"], 3.0]]})
+            assert main(["notify-listen", "--url", url, "--max", "1", "--wait", "5"]) == 0
+            (line,) = capsys.readouterr().out.splitlines()
+        notification = json.loads(line)
+        assert notification["subscription"] == registered["id"]
+        assert notification["seq"] == 1
+        assert notification["entered"] == [[["c"], 0.75]]
+
+    def test_subscribe_rejects_a_malformed_threshold(self, capsys):
+        assert main(["subscribe", "Q(x) :- R(x)", "--threshold", "0.5"]) == 1
+        assert "--threshold must look like" in capsys.readouterr().err

@@ -59,6 +59,13 @@ class TestConnect:
         assert repro.open is repro.open_artifact
         assert "open" in repro.__all__
 
+    def test_warm_changes_no_answer(self, workload):
+        cold = repro.connect(workload.mvdb)
+        warm = repro.connect(workload.mvdb)
+        warm.warm()
+        for query in (students_of_advisor("Advisor 1"), affiliation_of_author("Student 2-0")):
+            assert warm.query(query).to_dict() == cold.query(query).to_dict()
+
     def test_engine_and_session_reachable(self, db):
         assert isinstance(db.engine, MVQueryEngine)
         assert db.session.engine is db.engine
@@ -105,6 +112,10 @@ class TestTypedResults:
             assert isinstance(answer, Answer)
             assert 0.0 <= answer.probability <= 1.0
             assert answer.lineage_size >= 1
+
+    def test_answer_unpacks_to_its_values(self, db):
+        for answer in db.query(students_of_advisor("Advisor 1")):
+            assert tuple(answer) == answer.values
 
     def test_iteration_is_sorted_by_probability(self, db):
         result = db.query(students_of_advisor("Advisor 1"))
@@ -202,6 +213,14 @@ class TestMethodRegistry:
         names = repro.methods.names()
         for name in ("mvindex", "mvindex-mv", "obdd", "shannon", "enumeration", "sampling"):
             assert name in names
+
+    def test_registered_is_a_snapshot_of_the_registry(self):
+        snapshot = repro.methods.registered()
+        assert tuple(sorted(snapshot)) == repro.methods.names()
+        for name, method in snapshot.items():
+            assert repro.methods.get(name) is method
+        snapshot.clear()
+        assert repro.methods.names()
 
     def test_unknown_method(self):
         with pytest.raises(InferenceError, match="unknown evaluation method"):
@@ -357,6 +376,11 @@ class TestDeprecationShims:
         from repro.core.translate import translate as deep
 
         assert translate is deep
+
+    @pytest.mark.parametrize("package", ["repro.core", "repro.serving"])
+    def test_dir_lists_the_deprecated_names(self, package):
+        module = importlib.import_module(package)
+        assert set(module._DEPRECATED) <= set(dir(module))
 
     def test_unknown_attributes_still_raise(self):
         package = importlib.import_module("repro.core")

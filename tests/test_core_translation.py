@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro import MVDB, MarkoView
-from repro.core.translate import theorem1_probability, translate
+from repro.core.translate import answer_tuple_to_boolean, theorem1_probability, translate
 from repro.errors import QueryError, SchemaError, WeightError
 from repro.indb.weights import (
     CERTAIN_WEIGHT,
@@ -264,3 +264,15 @@ class TestTheorem1:
             assert theorem1_probability(p0_q_or_w, p0_w) == pytest.approx(
                 expected[answer]
             ), f"answer {answer}"
+
+    def test_answer_bound_into_the_head_keeps_its_probability(self):
+        # P(Q(a)) of the Boolean query Q(a) is the probability of answer a.
+        mvdb = example1_mvdb()
+        mvdb.add_probabilistic_table("T", ["x", "y"], [(("a", 1), 0.5), (("a", 2), 3.0)])
+        query = parse_query("Q(y) :- R(x), T(x, y)")
+        expected = mvdb.exact_answer_probabilities(query)
+        assert len(expected) == 2
+        for answer, probability in expected.items():
+            boolean = answer_tuple_to_boolean(query, answer)
+            assert boolean.is_boolean
+            assert mvdb.exact_query_probability(boolean) == pytest.approx(probability)

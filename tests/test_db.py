@@ -6,6 +6,7 @@ from repro.db import (
     Attribute,
     Database,
     RelationSchema,
+    SqliteBackend,
     Table,
     load_database,
     load_table,
@@ -58,53 +59,86 @@ class TestRelationSchema:
 
 
 class TestTable:
-    def test_insert_and_contains(self):
-        table = Table(RelationSchema("R", ["a", "b"]))
+    """Relation contracts, on the memory backend's :class:`Table`."""
+
+    @pytest.fixture
+    def make(self):
+        """``make(attributes, rows=())``: a fresh table named ``R``."""
+        return lambda attributes, rows=(): Table(RelationSchema("R", attributes), rows=rows)
+
+    def test_insert_and_contains(self, make):
+        table = make(["a", "b"])
         assert table.insert((1, 2)) is True
         assert table.insert((1, 2)) is False
         assert (1, 2) in table
         assert len(table) == 1
 
-    def test_insert_wrong_arity_raises(self):
-        table = Table(RelationSchema("R", ["a", "b"]))
+    def test_insert_wrong_arity_raises(self, make):
+        table = make(["a", "b"])
         with pytest.raises(SchemaError):
             table.insert((1,))
 
-    def test_delete(self):
-        table = Table(RelationSchema("R", ["a"]), rows=[(1,), (2,)])
+    def test_delete(self, make):
+        table = make(["a"], [(1,), (2,)])
         assert table.delete((1,)) is True
         assert table.delete((1,)) is False
         assert len(table) == 1
 
-    def test_lookup_by_position(self):
-        table = Table(RelationSchema("S", ["a", "b"]), rows=[(1, 10), (1, 20), (2, 30)])
+    def test_lookup_by_position(self, make):
+        table = make(["a", "b"], [(1, 10), (1, 20), (2, 30)])
         assert sorted(table.lookup({0: 1})) == [(1, 10), (1, 20)]
         assert table.lookup({0: 1, 1: 20}) == [(1, 20)]
         assert table.lookup({0: 9}) == []
 
-    def test_lookup_empty_bindings_returns_all(self):
-        table = Table(RelationSchema("S", ["a"]), rows=[(1,), (2,)])
+    def test_lookup_empty_bindings_returns_all(self, make):
+        table = make(["a"], [(1,), (2,)])
         assert sorted(table.lookup({})) == [(1,), (2,)]
 
-    def test_lookup_by_attributes(self):
-        table = Table(RelationSchema("S", ["a", "b"]), rows=[(1, 10), (2, 20)])
-        assert table.lookup_by_attributes(b=20) == [(2, 20)]
+    def test_lookup_by_attributes(self, make):
+        # Scans stream what lookups return, in insertion order: the order
+        # the evaluator's derivation stream (and so every probability's
+        # bits) depends on, on either backend.
+        rows = [(2, 20), (1, 10), (2, 5), (1, 30)]
+        table = make(["a", "b"], rows)
+        assert list(table) == list(table.scan()) == table.rows() == rows
+        assert list(table.scan({0: 2})) == table.lookup({0: 2}) == [(2, 20), (2, 5)]
+        assert list(table.scan({0: 1, 1: 30})) == [(1, 30)]
+        assert list(table.scan({1: 99})) == []
 
-    def test_index_maintained_after_insert_and_delete(self):
-        table = Table(RelationSchema("S", ["a", "b"]), rows=[(1, 10)])
+    def test_index_maintained_after_insert_and_delete(self, make):
+        table = make(["a", "b"], [(1, 10)])
         assert table.lookup({0: 1}) == [(1, 10)]
         table.insert((1, 99))
         assert sorted(table.lookup({0: 1})) == [(1, 10), (1, 99)]
         table.delete((1, 10))
         assert table.lookup({0: 1}) == [(1, 99)]
 
-    def test_project_distinct(self):
-        table = Table(RelationSchema("S", ["a", "b"]), rows=[(1, 10), (1, 20)])
-        assert table.project(["a"]) == [(1,)]
+    def test_project_distinct(self, make):
+        # Set semantics under bulk insert: insert_many counts only new rows,
+        # and a deleted row inserted again goes to the end of the order.
+        table = make(["a", "b"], [(1, 10), (2, 20)])
+        assert table.insert_many([(2, 20), (3, 30), (3, 30), (1, 10)]) == 1
+        assert table.rows() == [(1, 10), (2, 20), (3, 30)]
+        assert table.delete((1, 10)) is True
+        assert table.insert_many([(1, 10)]) == 1
+        assert table.rows() == [(2, 20), (3, 30), (1, 10)]
+        assert len(table) == 3
 
-    def test_active_domain(self):
-        table = Table(RelationSchema("S", ["a", "b"]), rows=[(1, "x")])
+    def test_active_domain(self, make):
+        table = make(["a", "b"], [(1, "x")])
         assert table.active_domain() == {1, "x"}
+
+
+class TestSqliteTable(TestTable):
+    """The same relation contracts on the sqlite backend's table."""
+
+    @pytest.fixture
+    def make(self):
+        backend = SqliteBackend()
+        yield lambda attributes, rows=(): backend.create_table(
+            RelationSchema("R", attributes), rows
+        )
+        backend.close()
 
 
 class TestDatabase:
@@ -113,6 +147,13 @@ class TestDatabase:
         db.create_table("R", ["a"], [(1,), (2,)])
         assert len(db.table("R")) == 2
         assert "R" in db
+
+    def test_subscript_is_table(self):
+        db = Database()
+        table = db.create_table("R", ["a"], [(1,)])
+        assert db["R"] is db.table("R") is table
+        with pytest.raises(UnknownRelationError):
+            db["nope"]
 
     def test_duplicate_table_rejected(self):
         db = Database()

@@ -27,7 +27,7 @@ import pytest
 from repro.db import SqliteBackend
 from repro.db.sqlite_backend import BUSY_TIMEOUT_MS
 from repro.indb import TupleIndependentDatabase, probability_to_weight
-from repro.query import answer_probabilities, evaluate_ucq, parse_query
+from repro.query import answer_probabilities, evaluate_ucq, evaluator, parse_query
 
 INSTANCES_PER_RUN = 20
 QUERIES_PER_INSTANCE = 10
@@ -173,23 +173,23 @@ def bits(probabilities: dict) -> dict:
     }
 
 
-def run_differential_case(seed: int, build_budget: "int | None" = None) -> int:
-    """One instance, QUERIES_PER_INSTANCE queries, both backends. Returns #pairs."""
+def run_differential_case(seed: int) -> list:
+    """One instance, QUERIES_PER_INSTANCE queries, both backends.
+
+    Returns one ``(canonical DNFs, probability bits)`` pair per query, both
+    backends having agreed on it.
+    """
     spec = instance_spec(seed)
     memory_indb = load_instance(spec, backend="memory")
     sqlite_indb = load_instance(spec, backend=SqliteBackend())
     try:
         assert memory_indb.probabilities() == sqlite_indb.probabilities()
         query_rng = random.Random(10_000 + seed)
-        pairs = 0
+        outcomes = []
         for _ in range(QUERIES_PER_INSTANCE):
             query = parse_query(random_query(query_rng))
-            reference = evaluate_ucq(
-                query, memory_indb.database, memory_indb, build_budget=build_budget
-            )
-            candidate = evaluate_ucq(
-                query, sqlite_indb.database, sqlite_indb, build_budget=build_budget
-            )
+            reference = evaluate_ucq(query, memory_indb.database, memory_indb)
+            candidate = evaluate_ucq(query, sqlite_indb.database, sqlite_indb)
             assert set(reference.answers()) == set(candidate.answers())
             assert canonical_dnfs(reference) == canonical_dnfs(candidate)
             reference_probs = answer_probabilities(
@@ -199,8 +199,8 @@ def run_differential_case(seed: int, build_budget: "int | None" = None) -> int:
                 candidate, sqlite_indb.probabilities()
             )
             assert bits(reference_probs) == bits(candidate_probs)
-            pairs += 1
-        return pairs
+            outcomes.append((canonical_dnfs(reference), bits(reference_probs)))
+        return outcomes
     finally:
         sqlite_indb.database.close()
 
@@ -208,16 +208,37 @@ def run_differential_case(seed: int, build_budget: "int | None" = None) -> int:
 class TestDifferentialBackends:
     @pytest.mark.parametrize("seed", range(INSTANCES_PER_RUN))
     def test_seeded_instance_agrees_across_backends(self, seed):
-        assert run_differential_case(seed) == QUERIES_PER_INSTANCE
+        assert len(run_differential_case(seed)) == QUERIES_PER_INSTANCE
 
     def test_run_covers_acceptance_bar(self):
         assert INSTANCES_PER_RUN * QUERIES_PER_INSTANCE >= 200
 
     @pytest.mark.parametrize("seed", [0, 7, 13])
-    def test_grace_partition_path_agrees(self, seed):
-        # A tiny build budget forces the hash join into its grace-partitioned
-        # spill path on every atom; answers must still be bit-identical.
-        assert run_differential_case(seed, build_budget=2) == QUERIES_PER_INSTANCE
+    def test_grace_partition_path_agrees(self, seed, monkeypatch):
+        # Every join regime gives bit-identical answers and DNFs across
+        # backends: the workload runs once with every keyed step (one with a
+        # join key or a constant) forced into a hash join, once with every
+        # keyed step forced into an index probe, and the two agree.
+        index_probe, hash_join = evaluator._index_probe, evaluator._hash_join
+        regime, keyed_hash_joins = ["hash"], [0]
+
+        def keyed(step):
+            return bool(step.join_by_pos or step.const_bindings)
+
+        def forced(step, items, table):
+            if keyed(step) and regime[0] == "probe":
+                return index_probe(step, items, table)
+            keyed_hash_joins[0] += keyed(step)
+            return hash_join(step, items, table)
+
+        monkeypatch.setattr(evaluator, "_index_probe", forced)
+        monkeypatch.setattr(evaluator, "_hash_join", forced)
+        hashed = run_differential_case(seed)
+        assert keyed_hash_joins[0] > 0
+        regime[0], keyed_hash_joins[0] = "probe", 0
+        assert run_differential_case(seed) == hashed
+        assert keyed_hash_joins[0] == 0
+        assert len(hashed) == QUERIES_PER_INSTANCE
 
 
 class TestSqlitePragmas:

@@ -61,6 +61,17 @@ class TestDeterministicEvaluation:
         db2.create_table("R", ["a"])
         assert not evaluate_ucq(parse_query("Q :- R(x)"), db2).boolean_true
 
+    def test_union_iterates_its_disjuncts_and_the_result_holds_answers(self):
+        db = Database()
+        db.create_table("R", ["a"], [(1,), (2,)])
+        db.create_table("S", ["a"], [(2,), (3,)])
+        query = parse_query("Q(x) :- R(x) ; Q(x) :- S(x)")
+        assert [cq.atoms[0].relation for cq in query] == ["R", "S"]
+        result = evaluate_ucq(query, db)
+        assert [answer in result for answer in ((1,), (2,), (3,), (4,))] == [
+            True, True, True, False
+        ]
+
     def test_repeated_variable_join(self):
         db = Database()
         db.create_table("E", ["a", "b"], [(1, 1), (1, 2)])
@@ -280,8 +291,7 @@ class TestPlanRegret:
             emitted[0], budget[0] = 0, limit
             try:
                 evaluator._run_pipeline(
-                    cq, order, mvdb.database, mvdb.base, evaluator.QueryResult(cq.head),
-                    evaluator.DEFAULT_BUILD_BUDGET,
+                    cq, order, mvdb.database, mvdb.base, evaluator.QueryResult(cq.head)
                 )
             except _EmitBudgetSpent:
                 pass

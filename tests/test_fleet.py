@@ -310,7 +310,7 @@ class TestRouterServing:
 class TestFleetFaultPaths:
     def test_kill_dash_nine_mid_load_leaks_no_5xx(self, router, remote, local_db):
         fleet = router.fleet
-        victim = fleet._slots[0].process.pid
+        victim = fleet.pid(0)
         stop = threading.Event()
         statuses: list[int] = []
 

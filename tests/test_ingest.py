@@ -436,6 +436,30 @@ class TestSemiNaiveAppend:
         engine.apply_pending(pending)
         _assert_matches_rebuild(engine, ["Q(x) :- R(x)", "Q(x) :- S(x)"])
 
+    def test_a_bulk_append_hash_joins_the_live_and_appended_rows(self, monkeypatch):
+        # A delta wide enough that the view body's derivation hash-joins the
+        # live table followed by its appended rows, instead of probing them.
+        from repro.core import engine as engine_module
+
+        union_scans = []
+        scan = engine_module._UnionTable.scan
+        monkeypatch.setattr(
+            engine_module._UnionTable,
+            "scan",
+            lambda table, bindings=None: union_scans.append(table.name) or scan(table, bindings),
+        )
+        mvdb = repro.MVDB()
+        mvdb.add_probabilistic_table("R", ["x"], [((f"a{i}",), 1.0) for i in range(4)])
+        mvdb.add_probabilistic_table("S", ["x", "y"], [((f"a{i}", 1), 2.0) for i in range(4)])
+        mvdb.add_markoview(repro.MarkoView("V", repro.parse_query("V(x) :- R(x), S(x, y)"), 2.0))
+        engine = MVQueryEngine(mvdb)
+        engine.append_facts({
+            "R": [[[f"b{i}"], 0.5] for i in range(70)],
+            "S": [[[f"b{i}", 1], 1.5] for i in range(70)],
+        })
+        assert union_scans
+        _assert_matches_rebuild(engine, ["Q(x) :- R(x)", "Q(x) :- R(x), S(x, y)"])
+
 
 class TestPrepareIsReadOnly:
     @staticmethod

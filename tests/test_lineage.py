@@ -128,6 +128,11 @@ class TestExactProbability:
         assert shannon_probability(DNF.true(), {}) == 1.0
         assert shannon_probability(DNF.false(), {}) == 0.0
 
+    def test_constant_events_enumerate_one_world(self):
+        assert event_from_dnf(DNF.true()) is TRUE and event_from_dnf(DNF.false()) is FALSE
+        assert brute_force_probability(TRUE, {}) == 1.0
+        assert brute_force_probability(FALSE, {}) == 0.0
+
     def test_enumeration_limit(self):
         formula = DNF([[i] for i in range(30)])
         with pytest.raises(InferenceError):

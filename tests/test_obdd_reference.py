@@ -2,7 +2,7 @@
 
 Reduced OBDDs are canonical for a fixed variable order, so the explicit-stack
 kernel (:mod:`repro.obdd.manager`) and the retained recursive reference
-kernel (:mod:`repro.obdd.reference`) must produce *identical* results —
+kernel (``tests/obdd_reference.py``) must produce *identical* results —
 node tables (via the canonical children-first export), model counts, and
 probabilities — on every formula.  These property tests drive both kernels
 over randomized DNFs and variable orders and assert exact equality.
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from repro.lineage import DNF
 from repro.obdd import ONE, ObddManager, VariableOrder, build_obdd, natural_order
 from repro.obdd.manager import iter_paths
-from repro.obdd.reference import ReferenceKernel, reference_build_obdd
+
+from obdd_reference import ReferenceKernel, reference_build_obdd
 
 
 def model_count(manager: ObddManager, root: int, variable_count: int) -> int:

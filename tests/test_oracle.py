@@ -3,25 +3,30 @@
 A hypothesis generator draws tuple-independent databases of a few tuples
 whose columns mix ints, floats and strings, and random conjunctive queries
 with ``=``/``<``/``like``/``<>`` comparisons.  The property: every atom
-permutation, on both storage backends and in both hash-join regimes, yields
-the same answers with the same lineage — and that equals evaluating the
-comparison-free join and filtering each derivation afterwards.  Since the
+permutation, on both storage backends, yields the same answers with the
+same lineage — and that equals evaluating the comparison-free join and
+filtering each derivation afterwards.  Since the
 evaluator pushes single-atom comparisons into the scan and lets them steer
 the join order, this pins down that where a comparison runs never changes
 what it decides (an incomparable pair is simply false, wherever it meets).
 A second property pins the planner: the order it chooses has the least
 estimated cost of all permutations, ties broken on the atom-index tuple.
+And every exact inference method, on a tiny MVDB with MarkoViews and on one
+without, gives the probabilities of the MVDB semantics computed by world
+enumeration.
 """
 
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import MVDB, MarkoView, parse_query
+from repro.core.engine import MVQueryEngine
 from repro.indb import TupleIndependentDatabase
 from repro.query import Atom, Comparison, ConjunctiveQuery, Constant, Variable
 from repro.query.evaluator import (
-    DEFAULT_BUILD_BUDGET,
     QueryResult,
     _order_atoms,
     _plan_cost,
@@ -96,9 +101,9 @@ def post_join_filter(query, indb):
     return result.lineages()
 
 
-@given(instances(), queries(), st.sampled_from([DEFAULT_BUILD_BUDGET, 0]))
+@given(instances(), queries())
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_every_order_and_backend_matches_the_post_join_filter(spec, query, budget):
+def test_every_order_and_backend_matches_the_post_join_filter(spec, query):
     memory = build(spec, None)
     expected = post_join_filter(query, memory)
     for indb in (memory, build(spec, "sqlite")):
@@ -106,7 +111,7 @@ def test_every_order_and_backend_matches_the_post_join_filter(spec, query, budge
         assert sorted(map(repr, chosen)) == sorted(map(repr, query.atoms))
         for order in permutations(query.atoms):
             result = QueryResult(query.head)
-            _run_pipeline(query, order, indb.database, indb, result, budget)
+            _run_pipeline(query, order, indb.database, indb, result)
             assert result.lineages() == expected, (query, order)
 
 
@@ -121,3 +126,37 @@ def test_chosen_order_has_the_least_plan_cost(spec, query):
             key=lambda order: (_plan_cost(query, [atoms[i] for i in order], database), order),
         )
         assert _order_atoms(query, database) == [atoms[i] for i in best], query
+
+
+#: Every exact method the registry ships.
+EXACT_METHODS = ("mvindex", "mvindex-mv", "obdd", "shannon", "enumeration")
+
+
+def tiny_mvdb(views: bool) -> MVDB:
+    """Two probabilistic relations; with ``views``, a positive and a negative view."""
+    mvdb = MVDB()
+    mvdb.add_deterministic_table("Name", ["x", "n"], [("a", "Ann"), ("b", "Bob")])
+    mvdb.add_probabilistic_table("R", ["x"], [(("a",), 1.0), (("b",), 0.5)])
+    mvdb.add_probabilistic_table(
+        "S", ["x", "y"], [(("a", 1), 2.0), (("a", 2), 1.0), (("b", 1), 0.8)]
+    )
+    if views:
+        mvdb.add_markoview(MarkoView("V1", parse_query("V1(x) :- R(x), S(x, y)"), 2.0))
+        mvdb.add_markoview(MarkoView("V2", parse_query("V2(x, y) :- S(x, y)"), 0.5))
+    return mvdb
+
+
+@pytest.mark.parametrize("views", [True, False], ids=["views", "no-views"])
+def test_every_exact_method_matches_the_mvdb_semantics(views):
+    mvdb = tiny_mvdb(views)
+    engine = MVQueryEngine(mvdb)
+    assert engine.w_lineage.is_false is not views
+    for text in ("Q :- R(x), S(x, y)", "Q(x) :- R(x), S(x, y)", "Q(y) :- S(x, y), Name(x, n)"):
+        query = parse_query(text)
+        expected = mvdb.exact_answer_probabilities(query)
+        assert expected
+        for method in EXACT_METHODS:
+            actual = engine.query(query, method=method)
+            assert actual.keys() == expected.keys(), (text, method)
+            for answer, probability in expected.items():
+                assert actual[answer] == pytest.approx(probability, rel=1e-9), (text, method)

@@ -287,6 +287,9 @@ class TestProtocolErrors:
         assert response.status == 400
         assert json.loads(payload)["error"]["type"] == "bad_request"
 
+    def test_remote_reports_the_server_url(self, server, remote):
+        assert remote.url == server.url
+
     def test_connect_remote_refuses_dead_server(self):
         with pytest.raises(ServingError):
             repro.connect_remote("http://127.0.0.1:1", timeout=2)
@@ -498,6 +501,15 @@ class TestExtendWhileServing:
         finally:
             stop.set()
             server.stop()
+
+    def test_with_block_serves_a_warmed_dispatcher_then_stops(self, db):
+        with ProbServer(db.engine, port=0, workers=2) as server:
+            server.dispatcher.warm()
+            remote = repro.connect_remote(server.url)
+            for query in QUERIES:
+                assert _answers_json(remote.query(query)) == _answers_json(db.query(query))
+        with pytest.raises(ServingError):  # stopped: nothing listens any more
+            repro.connect_remote(server.url, timeout=2)
 
     def test_stop_before_start_does_not_hang(self, db):
         server = ProbServer(db.engine, port=0, workers=1)
