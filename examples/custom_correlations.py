@@ -122,7 +122,7 @@ def main() -> None:
 
     query = "Q :- Match(x, 'b2')"
     print("\nP(someone matches b2), by every exact method:")
-    for method in ("mvindex", "mvindex-mv", "obdd", "shannon"):
+    for method in ("mvindex", "mvindex-mv", "obdd"):
         print(f"  {method:<11} {db.boolean_probability(query, method=method):.6f}")
     oracle = mvdb.exact_query_probability(repro.parse_query(query))
     print(f"  {'oracle':<11} {oracle:.6f}   (possible-world enumeration)")

@@ -14,7 +14,7 @@ Run with::
 """
 
 import repro
-from repro.lineage import shannon_probability
+from repro.obdd import build_obdd
 
 
 def main() -> None:
@@ -41,8 +41,10 @@ def main() -> None:
     q_lineage = indb.lineage_of(query)
 
     p_w = engine.p0_w()
-    p_q_or_w = shannon_probability(q_lineage.or_(engine.w_lineage), engine.probabilities)
-    answer = db.boolean_probability(query_text, method="shannon")
+    # The OBDD's probability pass is a Shannon expansion: blind to the sign.
+    q_or_w = build_obdd(q_lineage.or_(engine.w_lineage), engine.order)
+    p_q_or_w = q_or_w.probability(engine.probabilities)
+    answer = db.boolean_probability(query_text, method="obdd")
     oracle = mvdb.exact_query_probability(query)
 
     print()

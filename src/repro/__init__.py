@@ -28,8 +28,8 @@ The blessed client API lives right here::
   (:mod:`repro.results`) with probabilities, lineage sizes, work counters,
   cache provenance and wall time;
 * :mod:`repro.methods` — the pluggable inference-method registry
-  (``mvindex``, ``mvindex-mv``, ``obdd``, ``shannon``, ``enumeration``,
-  ``sampling``, plus anything you :func:`repro.methods.register`).
+  (``mvindex``, ``mvindex-mv``, ``obdd``, ``enumeration``, ``sampling``,
+  plus anything you :func:`repro.methods.register`).
 
 Building blocks (stable, importable directly)
 ---------------------------------------------
@@ -43,8 +43,8 @@ Building blocks (stable, importable directly)
 * :mod:`repro.mvindex` — the MV-index and the MVIntersect / CC-MVIntersect
   query-time intersection algorithms;
 * :mod:`repro.safe` — lifted inference (safe plans) for UCQs on INDBs;
-* :mod:`repro.mln` — a Markov Logic Network substrate with exact, Gibbs and
-  MC-SAT inference (the "Alchemy" baseline);
+* :mod:`repro.mln` — a Markov Logic Network substrate with exact and MC-SAT
+  inference (the "Alchemy" baseline);
 * :mod:`repro.dblp` — a synthetic DBLP-style workload generator reproducing the
   schema, probabilistic tables and MarkoViews of Fig. 1;
 * :mod:`repro.experiments` — runners that regenerate every figure of Sect. 5.

@@ -245,7 +245,6 @@ def build_serving_parser() -> argparse.ArgumentParser:
         "--count", type=int, default=10, help="number of built-in workload queries otherwise"
     )
     batch.add_argument("--method", default="mvindex", help="evaluation method")
-    batch.add_argument("--workers", type=int, default=None, help="thread-pool size (optional)")
     batch.add_argument("--repeat", type=int, default=2, help="rounds (first cold, rest warm)")
     batch.add_argument(
         "--json", action="store_true", help="print per-round typed results as JSON documents"
@@ -496,9 +495,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         return EXIT_USER
     rounds = []
     for round_index in range(max(1, args.repeat)):
-        seconds, results = time_call(
-            lambda: db.query_batch(queries, method=args.method, workers=args.workers)
-        )
+        seconds, results = time_call(lambda: db.query_batch(queries, method=args.method))
         label = "cold" if round_index == 0 else "warm"
         answers = sum(len(result) for result in results)
         if args.json:

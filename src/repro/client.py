@@ -12,7 +12,7 @@ all of it behind one client object::
     db.save("index.json.gz")                 # persist the offline products
 
     served = repro.open("index.json.gz")     # cold start in a serving process
-    served.query_batch(queries, workers=4)   # one shared relational pass
+    served.query_batch(queries)              # one shared relational pass
 
 Queries may be datalog strings or parsed UCQ objects; results are typed
 :class:`~repro.results.QueryResult` / :class:`~repro.results.Answer`
@@ -102,12 +102,9 @@ class ProbDB:
         self,
         queries: Sequence[QueryLike],
         method: str = "mvindex",
-        workers: int | None = None,
     ) -> list[QueryResult]:
         """Answer many queries with one shared relational evaluation pass."""
-        return self._session.execute_batch(
-            [_as_query(query) for query in queries], method=method, workers=workers
-        )
+        return self._session.execute_batch([_as_query(query) for query in queries], method=method)
 
     def warm(self) -> None:
         """Precompute everything lazy so concurrent queries only read."""
@@ -316,15 +313,9 @@ class RemoteProbDB:
         self,
         queries: Sequence["str | UCQ | ConjunctiveQuery"],
         method: str = "mvindex",
-        workers: int | None = None,
     ) -> list[QueryResult]:
         """Answer many queries with one server-side shared relational pass."""
-        payload: dict[str, Any] = {
-            "queries": [self._as_wire_query(query) for query in queries],
-            "method": method,
-        }
-        if workers is not None:
-            payload["workers"] = workers
+        payload = {"queries": [self._as_wire_query(query) for query in queries], "method": method}
         document = self._request("/v1/query_batch", payload)
         return [QueryResult.from_json(entry) for entry in document["results"]]
 

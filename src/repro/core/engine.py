@@ -14,9 +14,8 @@ Evaluation strategies are resolved through the inference-method registry
 (:mod:`repro.methods`): ``mvindex`` (CC-MVIntersect), ``mvindex-mv``
 (pointer-based MVIntersect), ``obdd`` (construct the OBDD of ``Q ∨ W`` from
 scratch for every query — the "augmented OBDD" line of Figs. 5/6),
-``shannon`` (exact DPLL-style computation on the lineage), ``enumeration``
-(brute force, tiny inputs only), ``sampling`` (Monte-Carlo, approximate),
-plus anything registered by third parties via
+``enumeration`` (brute force, tiny inputs only), ``sampling``
+(Monte-Carlo, approximate), plus anything registered by third parties via
 :func:`repro.methods.register`.
 """
 
@@ -39,9 +38,9 @@ from repro.indb.weights import (
     weight_to_probability,
 )
 from repro.lineage.dnf import DNF
-from repro.lineage.shannon import shannon_probability
 from repro.mvindex.index import MVIndex
 from repro.mvindex.summaries import SkipAnalysis, SummaryStore, summarize_component
+from repro.obdd.construct import build_obdd
 from repro.obdd.order import VariableOrder, order_from_permutations
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
@@ -52,10 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.markoview import MarkoView
     from repro.methods import InferenceMethod
 
-#: The paper's five evaluation methods.  Deprecated: the authoritative list
-#: (which includes registered third-party methods) is
+#: The paper's four exact evaluation methods.  Deprecated: the authoritative
+#: list (which includes registered third-party methods) is
 #: :func:`repro.methods.names`.
-METHODS = ("mvindex", "mvindex-mv", "obdd", "shannon", "enumeration")
+METHODS = ("mvindex", "mvindex-mv", "obdd", "enumeration")
 
 
 class _UnionTable:
@@ -717,7 +716,8 @@ class MVQueryEngine:
             elif self.mv_index is not None:
                 self._p0_w = self.mv_index.probability_w()
             else:
-                self._p0_w = shannon_probability(self.w_lineage, self.probabilities)
+                compiled = build_obdd(self.w_lineage, self.order)
+                self._p0_w = compiled.probability(self.probabilities)
         return self._p0_w
 
     # ------------------------------------------------------------- validation

@@ -24,9 +24,10 @@ from repro.errors import SchemaError, WeightError
 from repro.indb.weights import CERTAIN_WEIGHT, weight_to_probability
 from repro.lineage.dnf import DNF
 from repro.lineage.enumeration import enumerate_worlds
-from repro.lineage.shannon import shannon_probability
+from repro.obdd.construct import build_obdd
+from repro.obdd.order import natural_order
 from repro.query.cq import ConjunctiveQuery
-from repro.query.evaluator import boolean_lineage, evaluate_ucq
+from repro.query.evaluator import answer_probabilities, boolean_lineage, evaluate_ucq
 from repro.query.ucq import UCQ
 
 
@@ -172,17 +173,16 @@ class TupleIndependentDatabase:
         return boolean_lineage(query, self.database, self)
 
     def query_probability(self, query: UCQ | ConjunctiveQuery) -> float:
-        """Exact probability of a Boolean query (Shannon expansion on the lineage)."""
-        return shannon_probability(self.lineage_of(query), self.probabilities())
+        """Exact probability of a Boolean query (OBDD of the lineage, natural order)."""
+        lineage = self.lineage_of(query)
+        return build_obdd(lineage, natural_order(lineage.variables())).probability(
+            self.probabilities()
+        )
 
     def query_answers(self, query: UCQ | ConjunctiveQuery) -> dict[tuple[Any, ...], float]:
         """Probability of every answer of a non-Boolean query."""
         result = evaluate_ucq(query, self.database, self)
-        probabilities = self.probabilities()
-        return {
-            answer: shannon_probability(lineage, probabilities)
-            for answer, lineage in result.lineages().items()
-        }
+        return answer_probabilities(result, self.probabilities())
 
     # ---------------------------------------------------------- possible worlds
     def possible_worlds(self) -> Iterator[tuple[dict[int, bool], float]]:

@@ -1,33 +1,12 @@
-"""Lineage formulas and exact probability computation over them."""
+"""Lineage formulas and the world-enumeration oracle over them."""
 
 from repro.lineage.dnf import DNF, Clause, disjoin
-from repro.lineage.events import (
-    FALSE,
-    TRUE,
-    And,
-    Event,
-    Not,
-    Or,
-    Var,
-    event_from_dnf,
-)
 from repro.lineage.enumeration import brute_force_probability, enumerate_worlds
-from repro.lineage.shannon import ShannonEvaluator, shannon_probability
 
 __all__ = [
     "DNF",
     "Clause",
     "disjoin",
-    "Event",
-    "Var",
-    "Not",
-    "And",
-    "Or",
-    "TRUE",
-    "FALSE",
-    "event_from_dnf",
     "brute_force_probability",
     "enumerate_worlds",
-    "ShannonEvaluator",
-    "shannon_probability",
 ]

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 
 from repro.errors import InferenceError
 from repro.lineage.dnf import DNF
-from repro.lineage.events import Event
 
 #: Above this many variables brute force enumeration refuses to run.
 MAX_ENUMERATION_VARIABLES = 24
@@ -28,18 +27,18 @@ def _check_size(variables: Iterable[int]) -> list[int]:
     if len(ordered) > MAX_ENUMERATION_VARIABLES:
         raise InferenceError(
             f"brute-force enumeration over {len(ordered)} variables refused "
-            f"(limit {MAX_ENUMERATION_VARIABLES}); use OBDD or Shannon evaluation instead"
+            f"(limit {MAX_ENUMERATION_VARIABLES}); use OBDD evaluation instead"
         )
     return ordered
 
 
-def brute_force_probability(formula: DNF | Event, probabilities: Mapping[int, float]) -> float:
+def brute_force_probability(formula: DNF, probabilities: Mapping[int, float]) -> float:
     """Exact probability of ``formula`` by enumerating all assignments.
 
     Parameters
     ----------
     formula:
-        A monotone DNF lineage or a general Boolean event.
+        A monotone DNF lineage.
     probabilities:
         Mapping from variable id to marginal probability (may be negative,
         per the negative-probability translation of Sect. 3.3).

@@ -2,8 +2,8 @@
 
 Every way of turning an answer's lineage into a probability — CC-MVIntersect
 against the MV-index, pointer-based MVIntersect, from-scratch OBDD
-construction, Shannon expansion, brute-force enumeration, Monte-Carlo
-sampling — is an :class:`InferenceMethod` strategy object carrying
+construction, brute-force enumeration, Monte-Carlo sampling — is an
+:class:`InferenceMethod` strategy object carrying
 capability flags (``exact``, ``supports_negative_weights``).  The engine,
 the serving session, the CLI and the experiment harness all resolve method
 names through the one registry in this module, so a third-party method
@@ -37,7 +37,6 @@ from repro.core.translate import clamp_probability, theorem1_probability
 from repro.errors import InferenceError
 from repro.lineage.dnf import DNF
 from repro.lineage.enumeration import brute_force_probability
-from repro.lineage.shannon import shannon_probability
 from repro.mvindex.cc_intersect import cc_mv_intersect
 from repro.mvindex.intersect import IntersectStatistics, mv_intersect
 from repro.obdd.construct import build_obdd
@@ -113,6 +112,15 @@ class _TheoremOneMethod(InferenceMethod):
         raise NotImplementedError
 
 
+def _obdd_probability(engine, lineage, formula, statistics) -> float:
+    """``P0(formula)`` by compiling it under Π extended by the query's variables."""
+    order = engine.order.extend(sorted(lineage.variables()))
+    compiled = build_obdd(formula, order)
+    if statistics is not None:
+        statistics.query_obdd_nodes += compiled.size
+    return compiled.probability(engine.probabilities)
+
+
 class _IntersectMethod(InferenceMethod):
     """Online evaluation against the pre-compiled MV-index (Sect. 4)."""
 
@@ -123,11 +131,11 @@ class _IntersectMethod(InferenceMethod):
         if lineage.is_false:
             return 0.0
         if engine.w_lineage.is_false:
-            # No MarkoViews, hence no index: exact Shannon expansion.
-            return shannon_probability(lineage, engine.probabilities)
+            # No MarkoViews, hence no index: the same compile as ``obdd``.
+            return _obdd_probability(engine, lineage, lineage, statistics)
         if engine.mv_index is None:
             raise InferenceError(
-                "the MV-index was not built (build_index=False); use method='obdd' or 'shannon'"
+                "the MV-index was not built (build_index=False); use method='obdd'"
             )
         # Condition on the touched components only: the untouched
         # ``P0(¬W_k)`` factors cancel between numerator and denominator, and
@@ -178,31 +186,10 @@ class ObddMethod(_TheoremOneMethod):
     description = "from-scratch OBDD construction of Q ∨ W per query"
 
     def _independent(self, engine, lineage, statistics):
-        order = engine.order.extend(sorted(lineage.variables()))
-        compiled = build_obdd(lineage, order)
-        if statistics is not None:
-            statistics.query_obdd_nodes += compiled.size
-        return compiled.probability(engine.probabilities)
+        return _obdd_probability(engine, lineage, lineage, statistics)
 
     def _combined(self, engine, lineage, combined, statistics):
-        order = engine.order.extend(sorted(lineage.variables()))
-        compiled = build_obdd(combined, order, method="concat")
-        if statistics is not None:
-            statistics.query_obdd_nodes += compiled.size
-        return compiled.probability(engine.probabilities)
-
-
-class ShannonMethod(_TheoremOneMethod):
-    """Exact DPLL-style Shannon expansion on the lineage."""
-
-    name = "shannon"
-    description = "exact Shannon expansion (DPLL-style) on the lineage"
-
-    def _independent(self, engine, lineage, statistics):
-        return shannon_probability(lineage, engine.probabilities)
-
-    def _combined(self, engine, lineage, combined, statistics):
-        return shannon_probability(combined, engine.probabilities)
+        return _obdd_probability(engine, lineage, combined, statistics)
 
 
 class EnumerationMethod(_TheoremOneMethod):
@@ -369,6 +356,5 @@ def describe() -> str:
 register("mvindex", MvIndexMethod)
 register("mvindex-mv", MvIndexPointerMethod)
 register("obdd", ObddMethod)
-register("shannon", ShannonMethod)
 register("enumeration", EnumerationMethod)
 register("sampling", SamplingMethod)

@@ -1,7 +1,6 @@
-"""Markov Logic Network substrate: grounding, exact, Gibbs and MC-SAT inference."""
+"""Markov Logic Network substrate: grounding, exact and MC-SAT inference."""
 
 from repro.mln.exact import marginals, partition_function, query_probability
-from repro.mln.gibbs import GibbsSampler
 from repro.mln.mcsat import Constraint, McSatSampler, SampleSat
 from repro.mln.model import (
     GroundFeature,
@@ -12,7 +11,6 @@ from repro.mln.model import (
 
 __all__ = [
     "Constraint",
-    "GibbsSampler",
     "GroundFeature",
     "MarkovLogicNetwork",
     "McSatSampler",

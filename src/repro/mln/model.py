@@ -4,8 +4,8 @@ An MVDB *is* an MLN (Def. 4): one single-literal feature per possible base
 tuple (weight = the tuple's odds) and one feature per MarkoView output tuple
 (formula = the Boolean query ``Q(t)``, weight = the view weight for ``t``).
 This module represents that grounded MLN explicitly and is the substrate for
-the "Alchemy" baseline of the experiments: exact inference (enumeration),
-Gibbs sampling, and MC-SAT.
+the "Alchemy" baseline of the experiments: exact inference (enumeration)
+and MC-SAT.
 
 Weights here are *multiplicative* (a world's weight is the product of the
 weights of the satisfied features), exactly as in Eq. 1 of the paper; a

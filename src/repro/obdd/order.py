@@ -12,10 +12,12 @@ of Fig. 3 — which is exactly the order that lets independent sub-OBDDs be
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.errors import CompilationError
-from repro.indb.database import TupleIndependentDatabase
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.indb.database import TupleIndependentDatabase
 
 
 class VariableOrder:

@@ -512,20 +512,23 @@ def boolean_lineage(
 def answer_probabilities(
     result: QueryResult,
     probabilities: Mapping[int, float],
-    method: str = "shannon",
+    method: str = "obdd",
 ) -> dict[tuple[Any, ...], float]:
     """Marginal probability of each answer from its lineage.
 
-    ``method`` is ``"shannon"`` (exact, default) or ``"enumeration"``
-    (exact brute force; only for tiny lineages).
+    ``method`` is ``"obdd"`` (exact, default: the lineage's OBDD under the
+    natural variable order) or ``"enumeration"`` (exact brute force; only
+    for tiny lineages).
     """
     from repro.lineage.enumeration import brute_force_probability
-    from repro.lineage.shannon import shannon_probability
+    from repro.obdd.construct import build_obdd
+    from repro.obdd.order import natural_order
 
     output: dict[tuple[Any, ...], float] = {}
     for answer, formula in result.lineages().items():
         if method == "enumeration":
             output[answer] = brute_force_probability(formula, probabilities)
         else:
-            output[answer] = shannon_probability(formula, probabilities)
+            compiled = build_obdd(formula, natural_order(formula.variables()))
+            output[answer] = compiled.probability(probabilities)
     return output

@@ -762,7 +762,6 @@ class Dispatcher:
         self,
         queries: Sequence["str | UCQ | ConjunctiveQuery"],
         method: str = "mvindex",
-        workers: int | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ) -> tuple[list[QueryResult], int]:
         """One shared relational pass for a whole batch (admitted as one job).
@@ -791,7 +790,7 @@ class Dispatcher:
         self._queues[worker].put(
             _Job(
                 kind="batch",
-                payload=(ucqs, workers),
+                payload=ucqs,
                 method=method,
                 raw=None,
                 coalesce_key=None,
@@ -827,10 +826,7 @@ class Dispatcher:
                     if job.kind == "query":
                         value = session.execute(job.payload, method=job.method)
                     else:
-                        ucqs, batch_workers = job.payload
-                        value = session.execute_batch(
-                            ucqs, method=job.method, workers=batch_workers
-                        )
+                        value = session.execute_batch(job.payload, method=job.method)
                 outcome = (value, generation)
             except BaseException as exc:  # surfaced through the future
                 outcome = exc

@@ -7,7 +7,7 @@
 ========================  =====================================================
 ``POST /v1/query``        ``{"query": "...", "method": "mvindex"}`` →
                           ``{"generation": g, "result": <QueryResult JSON>}``
-``POST /v1/query_batch``  ``{"queries": [...], "method": ..., "workers": n}`` →
+``POST /v1/query_batch``  ``{"queries": [...], "method": ...}`` →
                           ``{"generation": g, "results": [...]}``
 ``POST /v1/extend``       extension spec (see below) →
                           ``{"added_components": k, "generation": g}``
@@ -279,11 +279,8 @@ class _Handler(BaseHTTPRequestHandler):
         method = document.get("method", "mvindex")
         if not isinstance(method, str):
             raise _BadRequest("'method' must be a string")
-        workers = document.get("workers")
-        if workers is not None and not isinstance(workers, int):
-            raise _BadRequest("'workers' must be an integer when given")
         results, generation = self.server.prob_server.dispatcher.execute_batch(
-            queries, method=method, workers=workers
+            queries, method=method
         )
         self._send_json(
             200,

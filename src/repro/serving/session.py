@@ -16,8 +16,7 @@ long-lived serving process needs:
   distinct one exactly once — a single relational evaluation pass shared by
   the whole batch — before intersecting every lineage against the MV-index;
 * **thread safety**: all public methods may be called from concurrent
-  threads; an optional worker pool parallelises the per-query intersection
-  stage of a batch.
+  threads.
 
 Counters for all of this live in :class:`SessionStatistics`, which the
 experiment harness uses to report cold-versus-warm serving behaviour.
@@ -28,7 +27,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
 
@@ -259,7 +257,6 @@ class QuerySession:
         self,
         queries: Sequence[UCQ | ConjunctiveQuery],
         method: str = "mvindex",
-        workers: int | None = None,
     ) -> list[QueryResult]:
         """Answer many queries with one shared relational evaluation pass.
 
@@ -267,11 +264,7 @@ class QuerySession:
         disjuncts to a single pool; each *distinct* disjunct (after
         canonicalization) is evaluated exactly once against the data, and the
         per-query lineages are assembled from the shared results.  The
-        subsequent index-intersection stage runs sequentially, or on a thread
-        pool when ``workers`` is given (the session is warmed first, making
-        the MV-index strictly read-only, so the intersections are
-        independent; with the GIL this mainly overlaps work, but the
-        structure is ready for free-threaded interpreters).  The heavy
+        subsequent index-intersection stage runs sequentially.  The heavy
         computation happens outside the session lock, so concurrent cached
         queries are not serialized behind a cold batch.
 
@@ -344,11 +337,7 @@ class QuerySession:
             computed = self._typed_probabilities(lineages, resolved_method, skip=skip)
             return computed, time.perf_counter() - stage_start
 
-        if workers is not None and workers > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                computed_all = list(pool.map(lambda item: timed(item[1]), items))
-        else:
-            computed_all = [timed(lineages) for __, lineages in items]
+        computed_all = [timed(lineages) for __, lineages in items]
         with self._lock:
             for (key, __), (computed, seconds) in zip(items, computed_all):
                 if self.generation == generation:

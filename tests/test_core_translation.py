@@ -19,7 +19,7 @@ from repro.indb.weights import (
     probability_to_weight,
     weight_to_probability,
 )
-from repro.lineage import shannon_probability
+from repro.lineage import brute_force_probability
 from repro.query import parse_query
 
 
@@ -218,8 +218,8 @@ class TestTheorem1:
         probabilities = indb.probabilities()
         q_lineage = indb.lineage_of(query)
         w_lineage = indb.lineage_of(translation.w_query)
-        p0_q_or_w = shannon_probability(q_lineage.or_(w_lineage), probabilities)
-        p0_w = shannon_probability(w_lineage, probabilities)
+        p0_q_or_w = brute_force_probability(q_lineage.or_(w_lineage), probabilities)
+        p0_w = brute_force_probability(w_lineage, probabilities)
         assert theorem1_probability(p0_q_or_w, p0_w) == pytest.approx(expected)
 
     def test_example2_projected_view(self):
@@ -238,8 +238,8 @@ class TestTheorem1:
         probabilities = indb.probabilities()
         q_lineage = indb.lineage_of(query)
         w_lineage = indb.lineage_of(translation.w_query)
-        p0_q_or_w = shannon_probability(q_lineage.or_(w_lineage), probabilities)
-        p0_w = shannon_probability(w_lineage, probabilities)
+        p0_q_or_w = brute_force_probability(q_lineage.or_(w_lineage), probabilities)
+        p0_w = brute_force_probability(w_lineage, probabilities)
         assert theorem1_probability(p0_q_or_w, p0_w) == pytest.approx(expected)
 
     def test_two_views_including_denial(self):
@@ -255,12 +255,12 @@ class TestTheorem1:
         indb = translation.indb
         probabilities = indb.probabilities()
         w_lineage = indb.lineage_of(translation.w_query)
-        p0_w = shannon_probability(w_lineage, probabilities)
+        p0_w = brute_force_probability(w_lineage, probabilities)
         from repro.query import evaluate_ucq
 
         result = evaluate_ucq(query, indb.database, indb)
         for answer, lineage in result.lineages().items():
-            p0_q_or_w = shannon_probability(lineage.or_(w_lineage), probabilities)
+            p0_q_or_w = brute_force_probability(lineage.or_(w_lineage), probabilities)
             assert theorem1_probability(p0_q_or_w, p0_w) == pytest.approx(
                 expected[answer]
             ), f"answer {answer}"

@@ -1,23 +1,19 @@
-"""Unit and property tests for DNF lineage, events, and exact probability."""
+"""Unit and property tests for DNF lineage and exact probability."""
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InferenceError
-from repro.lineage import (
-    DNF,
-    FALSE,
-    TRUE,
-    And,
-    Not,
-    Or,
-    Var,
-    brute_force_probability,
-    disjoin,
-    event_from_dnf,
-    shannon_probability,
-)
+from repro.lineage import DNF, brute_force_probability, disjoin, enumerate_worlds
+from repro.obdd import build_obdd, natural_order
+
+
+def obdd_probability(formula, probabilities):
+    """The OBDD compile of ``formula`` under the natural order."""
+    return build_obdd(formula, natural_order(formula.variables())).probability(probabilities)
 
 
 class TestDNF:
@@ -68,70 +64,86 @@ class TestDNF:
 
 
 class TestEvents:
+    """Oracle contracts on plain DNFs (the former ``Event`` ids)."""
+
     def test_event_evaluation(self):
-        event = (Var(1) & Var(2)) | ~Var(3)
-        assert event.evaluate({1: True, 2: True, 3: True})
-        assert event.evaluate({3: False})
-        assert not event.evaluate({1: True, 2: False, 3: True})
+        # Over 0/1 probabilities the oracle's weight is the indicator of the
+        # one world it names, so brute force equals ``DNF.evaluate``.
+        formula = DNF([[1, 2], [3]])
+        for values in product((False, True), repeat=3):
+            assignment = dict(zip((1, 2, 3), values))
+            probabilities = {var: float(value) for var, value in assignment.items()}
+            expected = 1.0 if formula.evaluate(assignment) else 0.0
+            assert brute_force_probability(formula, probabilities) == expected
 
     def test_constants(self):
-        assert TRUE.evaluate({}) is True
-        assert FALSE.evaluate({}) is False
+        # Constants enumerate the single empty world and ignore probabilities.
+        assert brute_force_probability(DNF.true(), {7: 0.3}) == 1.0
+        assert brute_force_probability(DNF.false(), {7: 0.3}) == 0.0
+        assert list(enumerate_worlds([], {})) == [({}, 1.0)]
 
     def test_event_from_dnf_matches_dnf(self):
+        # The world weights of ``enumerate_worlds`` sum to one, and the
+        # weights of the worlds satisfying a DNF sum to its oracle value.
         formula = DNF([[1, 2], [3]])
-        event = event_from_dnf(formula)
-        for assignment in (
-            {1: True, 2: True, 3: False},
-            {1: True, 2: False, 3: False},
-            {1: False, 2: False, 3: True},
-        ):
-            assert event.evaluate(assignment) == formula.evaluate(assignment)
+        probabilities = {1: -0.5, 2: 0.4, 3: 0.7}
+        worlds = list(enumerate_worlds(formula.variables(), probabilities))
+        assert len(worlds) == 8
+        assert sum(weight for __, weight in worlds) == pytest.approx(1.0, abs=1e-12)
+        satisfied = sum(weight for world, weight in worlds if formula.evaluate(world))
+        assert satisfied == pytest.approx(
+            brute_force_probability(formula, probabilities), abs=1e-12
+        )
 
     def test_event_variables(self):
-        event = And([Var(1), Or([Var(2), Not(Var(5))])])
-        assert event.variables() == frozenset({1, 2, 5})
+        # The oracle enumerates only the formula's variables: entries for
+        # other variables are never read.
+        formula = DNF([[1], [2, 5]])
+        assert formula.variables() == frozenset({1, 2, 5})
+        probabilities = {1: 0.5, 2: 0.4, 5: 0.25}
+        assert brute_force_probability(formula, probabilities) == brute_force_probability(
+            formula, {**probabilities, 9: 0.9}
+        )
 
 
 class TestExactProbability:
     def test_single_variable(self):
         assert brute_force_probability(DNF.variable(1), {1: 0.3}) == pytest.approx(0.3)
-        assert shannon_probability(DNF.variable(1), {1: 0.3}) == pytest.approx(0.3)
+        assert obdd_probability(DNF.variable(1), {1: 0.3}) == pytest.approx(0.3)
 
     def test_independent_or(self):
         formula = DNF([[1], [2]])
         probabilities = {1: 0.5, 2: 0.5}
         expected = 1 - 0.5 * 0.5
         assert brute_force_probability(formula, probabilities) == pytest.approx(expected)
-        assert shannon_probability(formula, probabilities) == pytest.approx(expected)
+        assert obdd_probability(formula, probabilities) == pytest.approx(expected)
 
     def test_conjunction(self):
         formula = DNF([[1, 2]])
-        assert shannon_probability(formula, {1: 0.5, 2: 0.4}) == pytest.approx(0.2)
+        assert obdd_probability(formula, {1: 0.5, 2: 0.4}) == pytest.approx(0.2)
 
     def test_shared_variable_formula(self):
         # x1 y1 ∨ x1 y2: P = p1 (1 - (1-q1)(1-q2))
         formula = DNF([[1, 2], [1, 3]])
         probabilities = {1: 0.5, 2: 0.4, 3: 0.6}
         expected = 0.5 * (1 - 0.6 * 0.4)
-        assert shannon_probability(formula, probabilities) == pytest.approx(expected)
+        assert obdd_probability(formula, probabilities) == pytest.approx(expected)
         assert brute_force_probability(formula, probabilities) == pytest.approx(expected)
 
     def test_negative_probabilities_are_supported(self):
         formula = DNF([[1, 2], [3]])
         probabilities = {1: -0.5, 2: 0.4, 3: 0.7}
-        assert shannon_probability(formula, probabilities) == pytest.approx(
+        assert obdd_probability(formula, probabilities) == pytest.approx(
             brute_force_probability(formula, probabilities)
         )
 
     def test_true_and_false(self):
-        assert shannon_probability(DNF.true(), {}) == 1.0
-        assert shannon_probability(DNF.false(), {}) == 0.0
+        assert obdd_probability(DNF.true(), {}) == 1.0
+        assert obdd_probability(DNF.false(), {}) == 0.0
 
     def test_constant_events_enumerate_one_world(self):
-        assert event_from_dnf(DNF.true()) is TRUE and event_from_dnf(DNF.false()) is FALSE
-        assert brute_force_probability(TRUE, {}) == 1.0
-        assert brute_force_probability(FALSE, {}) == 0.0
+        assert brute_force_probability(DNF.true(), {}) == 1.0
+        assert brute_force_probability(DNF.false(), {}) == 0.0
 
     def test_enumeration_limit(self):
         formula = DNF([[i] for i in range(30)])
@@ -158,6 +170,8 @@ class TestShannonMatchesEnumeration:
     @given(small_dnfs())
     @settings(max_examples=120, deadline=None)
     def test_shannon_equals_brute_force(self, case):
+        # The OBDD compile (a Shannon expansion per node) matches the world
+        # enumeration oracle on the same DNFs, negative probabilities included.
         formula, probabilities = case
         expected = brute_force_probability(formula, probabilities)
-        assert shannon_probability(formula, probabilities) == pytest.approx(expected, abs=1e-9)
+        assert obdd_probability(formula, probabilities) == pytest.approx(expected, abs=1e-9)

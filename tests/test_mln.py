@@ -1,4 +1,4 @@
-"""Tests for the MLN substrate: grounding, exact inference, Gibbs and MC-SAT."""
+"""Tests for the MLN substrate: grounding, exact inference and MC-SAT."""
 
 import math
 
@@ -8,7 +8,6 @@ from repro import MVDB, MarkoView
 from repro.errors import WeightError
 from repro.lineage import DNF
 from repro.mln import (
-    GibbsSampler,
     GroundFeature,
     MarkovLogicNetwork,
     McSatSampler,
@@ -115,16 +114,22 @@ class TestMvdbGrounding:
 
 class TestSamplers:
     def test_gibbs_converges_on_independent_network(self):
+        # MC-SAT on a feature-free network: marginals are the base odds.
         mln = MarkovLogicNetwork(variables=[0, 1], base_weights={0: 1.0, 1: 3.0})
-        estimates = GibbsSampler(mln, seed=1).estimate_marginals(samples=2000, burn_in=100)
+        estimates = McSatSampler(mln, seed=1).estimate_marginals(samples=2000, burn_in=100)
         assert estimates[0] == pytest.approx(0.5, abs=0.05)
         assert estimates[1] == pytest.approx(0.75, abs=0.05)
 
     def test_gibbs_query_estimate_close_to_exact(self):
-        mln = two_tuple_mln(1.5, 0.7, 2.0)
-        exact = query_probability(mln, DNF([[0, 1]]))
-        estimate = GibbsSampler(mln, seed=3).estimate_query(
-            DNF([[0, 1]]), samples=3000, burn_in=200
+        # MC-SAT on the grounding of an MVDB against the MVDB's own semantics.
+        mvdb = MVDB()
+        mvdb.add_probabilistic_table("R", ["x"], [(("a",), 1.0), (("b",), 0.5)])
+        mvdb.add_probabilistic_table("S", ["x"], [(("a",), 2.0), (("b",), 1.5)])
+        mvdb.add_markoview(MarkoView("V", parse_query("V(x) :- R(x), S(x)"), 3.0))
+        query = parse_query("Q :- R(x), S(x)")
+        exact = mvdb.exact_query_probability(query)
+        estimate = McSatSampler(mln_from_mvdb(mvdb), seed=3).estimate_query(
+            mvdb.base.lineage_of(query), samples=3000, burn_in=200
         )
         assert estimate == pytest.approx(exact, abs=0.06)
 

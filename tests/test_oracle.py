@@ -129,7 +129,7 @@ def test_chosen_order_has_the_least_plan_cost(spec, query):
 
 
 #: Every exact method the registry ships.
-EXACT_METHODS = ("mvindex", "mvindex-mv", "obdd", "shannon", "enumeration")
+EXACT_METHODS = ("mvindex", "mvindex-mv", "obdd", "enumeration")
 
 
 def tiny_mvdb(views: bool) -> MVDB:
@@ -155,8 +155,12 @@ def test_every_exact_method_matches_the_mvdb_semantics(views):
         query = parse_query(text)
         expected = mvdb.exact_answer_probabilities(query)
         assert expected
+        answers = {}
         for method in EXACT_METHODS:
-            actual = engine.query(query, method=method)
+            actual = answers[method] = engine.query(query, method=method)
             assert actual.keys() == expected.keys(), (text, method)
             for answer, probability in expected.items():
                 assert actual[answer] == pytest.approx(probability, rel=1e-9), (text, method)
+        if not views:
+            # Without views the index methods run the ``obdd`` compile itself.
+            assert answers["mvindex"] == answers["mvindex-mv"] == answers["obdd"], text

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -39,9 +40,14 @@ from repro.serving.artifact import (
 from repro.serving.canonical import canonical_key
 from repro.serving.session import QuerySession
 
-#: Evaluation methods exercised by the round-trip tests ("enumeration" is
-#: exponential and needs tiny inputs, so the DBLP workload excludes it).
-ROUND_TRIP_METHODS = [method for method in METHODS if method != "enumeration"]
+#: ``(method, build_index)`` pairs exercised by the round-trip tests
+#: ("enumeration" is exponential and needs tiny inputs, so the DBLP workload
+#: excludes it).  The ``shannon`` id pins the path the retired Shannon
+#: method served: an engine without an index, answering through ``obdd``
+#: and its ``P0(W)`` fallback.
+ROUND_TRIP_METHODS = [
+    pytest.param(method, True, id=method) for method in METHODS if method != "enumeration"
+] + [pytest.param("obdd", False, id="shannon")]
 
 
 def _maps(results) -> list[dict]:
@@ -136,8 +142,14 @@ class TestArtifactRoundTrip:
     def test_p0_w_is_bit_identical(self, engine, loaded):
         assert loaded.p0_w() == engine.p0_w()
 
-    @pytest.mark.parametrize("method", ROUND_TRIP_METHODS)
-    def test_probabilities_bit_identical_across_methods(self, engine, loaded, method):
+    @pytest.mark.parametrize("method, build_index", ROUND_TRIP_METHODS)
+    def test_probabilities_bit_identical_across_methods(
+        self, workload, engine, loaded, tmp_path, method, build_index
+    ):
+        if not build_index:
+            engine = MVQueryEngine(workload.mvdb, build_index=False)
+            loaded = load_engine(save_engine(engine, tmp_path / "bare.json.gz"))
+            assert loaded.mv_index is None
         queries = [
             students_of_advisor("Advisor 0"),
             advisor_of_student("Student 1-0"),
@@ -190,7 +202,7 @@ class TestArtifactRoundTrip:
         restored = load_engine(path)
         assert restored.mv_index is None
         query = students_of_advisor("Advisor 0")
-        assert restored.query(query, method="shannon") == bare.query(query, method="shannon")
+        assert restored.query(query, method="obdd") == bare.query(query, method="obdd")
 
     def test_uncompressed_and_compressed_agree(self, engine, tmp_path):
         plain = save_engine(engine, tmp_path / "a.json")
@@ -413,9 +425,16 @@ class TestQueryBatch:
         assert session.statistics.deduplicated == 2
 
     def test_worker_pool_matches_sequential(self, engine):
-        sequential = _maps(QuerySession(engine).execute_batch(self.batch_queries(12)))
-        parallel = _maps(QuerySession(engine).execute_batch(self.batch_queries(12), workers=4))
-        assert parallel == sequential
+        # Batches now run their probability stage sequentially; a pool of
+        # caller threads sharing one session still gets the sequential
+        # answers (two concurrent cold batches may duplicate work, never
+        # change it).
+        queries = self.batch_queries(12)
+        sequential = _maps(QuerySession(engine).execute_batch(queries))
+        shared = QuerySession(engine)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            rounds = list(pool.map(lambda __: _maps(shared.execute_batch(queries)), range(4)))
+        assert rounds == [sequential] * 4
 
     def test_batch_larger_than_cache_capacity(self, engine):
         # The caches evict mid-batch; the returned answers must not depend on
