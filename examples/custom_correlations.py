@@ -9,8 +9,8 @@ A small "same-person" resolution scenario:
 * a positive MarkoView boosts pairs of matches that share the same e-mail
   domain (weight > 1: positive correlation).
 
-The example shows the exact evaluation paths agreeing (MV-index, online OBDD,
-Shannon expansion) — and registers the MLN substrate's MC-SAT sampler as a
+The example shows the exact evaluation paths agreeing (MV-index, online OBDD)
+— and registers the MLN substrate's MC-SAT sampler as a
 *third-party inference method* through ``repro.methods``, so the approximate
 baseline runs through the very same ``db.query(..., method=...)`` door as
 the exact ones, without touching the engine.

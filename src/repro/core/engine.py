@@ -41,7 +41,7 @@ from repro.lineage.dnf import DNF
 from repro.mvindex.index import MVIndex
 from repro.mvindex.summaries import SkipAnalysis, SummaryStore, summarize_component
 from repro.obdd.construct import build_obdd
-from repro.obdd.order import VariableOrder, order_from_permutations
+from repro.obdd.order import VariableOrder, component_order, order_from_permutations
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluator import QueryResult, evaluate_cq, evaluate_ucq, has_first_step_row
@@ -716,8 +716,11 @@ class MVQueryEngine:
             elif self.mv_index is not None:
                 self._p0_w = self.mv_index.probability_w()
             else:
-                compiled = build_obdd(self.w_lineage, self.order)
-                self._p0_w = compiled.probability(self.probabilities)
+                # One run per component, in engine order inside each: an
+                # append puts new tuples after all old ones, which would
+                # interleave the components under ``self.order`` itself.
+                order = component_order(self.w_lineage, self.order)
+                self._p0_w = build_obdd(self.w_lineage, order).probability(self.probabilities)
         return self._p0_w
 
     # ------------------------------------------------------------- validation

@@ -25,7 +25,7 @@ from repro.indb.weights import CERTAIN_WEIGHT, weight_to_probability
 from repro.lineage.dnf import DNF
 from repro.lineage.enumeration import enumerate_worlds
 from repro.obdd.construct import build_obdd
-from repro.obdd.order import natural_order
+from repro.obdd.order import component_order
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluator import answer_probabilities, boolean_lineage, evaluate_ucq
 from repro.query.ucq import UCQ
@@ -173,11 +173,9 @@ class TupleIndependentDatabase:
         return boolean_lineage(query, self.database, self)
 
     def query_probability(self, query: UCQ | ConjunctiveQuery) -> float:
-        """Exact probability of a Boolean query (OBDD of the lineage, natural order)."""
+        """Exact probability of a Boolean query (OBDD of the lineage, one run per component)."""
         lineage = self.lineage_of(query)
-        return build_obdd(lineage, natural_order(lineage.variables())).probability(
-            self.probabilities()
-        )
+        return build_obdd(lineage, component_order(lineage)).probability(self.probabilities())
 
     def query_answers(self, query: UCQ | ConjunctiveQuery) -> dict[tuple[Any, ...], float]:
         """Probability of every answer of a non-Boolean query."""

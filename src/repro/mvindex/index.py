@@ -44,9 +44,9 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import CompilationError
 from repro.lineage.dnf import DNF, Clause
-from repro.obdd.construct import build_component_root, connected_components
+from repro.obdd.construct import build_component_root
 from repro.obdd.manager import ONE, ObddManager
-from repro.obdd.order import VariableOrder
+from repro.obdd.order import VariableOrder, connected_components
 from repro.mvindex.augmented import AugmentedObdd
 
 

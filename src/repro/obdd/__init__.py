@@ -12,11 +12,16 @@ from repro.obdd.construct import (
     build_obdd,
     clause_obdd,
     concatenate_dnf,
-    connected_components,
     synthesize_dnf,
 )
 from repro.obdd.manager import ONE, TERMINAL_LEVEL, ZERO, ObddManager, dump_dot, iter_paths
-from repro.obdd.order import VariableOrder, natural_order, order_from_permutations
+from repro.obdd.order import (
+    VariableOrder,
+    component_order,
+    connected_components,
+    natural_order,
+    order_from_permutations,
+)
 
 __all__ = [
     "CompiledObdd",
@@ -28,6 +33,7 @@ __all__ = [
     "build_component_root",
     "build_obdd",
     "clause_obdd",
+    "component_order",
     "concatenate_dnf",
     "connected_components",
     "dump_dot",

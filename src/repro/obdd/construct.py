@@ -30,7 +30,7 @@ from typing import Iterable, Literal, Mapping
 from repro.errors import CompilationError
 from repro.lineage.dnf import DNF, Clause
 from repro.obdd.manager import _ID_BITS, ONE, ZERO, ObddManager
-from repro.obdd.order import VariableOrder
+from repro.obdd.order import VariableOrder, connected_components
 
 ConstructionMethod = Literal["concat", "synthesis"]
 
@@ -66,33 +66,6 @@ class CompiledObdd:
 def clause_obdd(manager: ObddManager, levels: Iterable[int]) -> int:
     """OBDD of a conjunction of positive literals given by their levels."""
     return manager.conjunction_chain(levels)
-
-
-def connected_components(clauses: Iterable[Clause]) -> list[list[Clause]]:
-    """Partition clauses into connected components by shared variables."""
-    clause_list = list(clauses)
-    var_to_indices: dict[int, list[int]] = {}
-    for index, clause in enumerate(clause_list):
-        for variable in clause:
-            var_to_indices.setdefault(variable, []).append(index)
-    visited = [False] * len(clause_list)
-    components: list[list[Clause]] = []
-    for start in range(len(clause_list)):
-        if visited[start]:
-            continue
-        stack = [start]
-        visited[start] = True
-        component: list[Clause] = []
-        while stack:
-            index = stack.pop()
-            component.append(clause_list[index])
-            for variable in clause_list[index]:
-                for other in var_to_indices[variable]:
-                    if not visited[other]:
-                        visited[other] = True
-                        stack.append(other)
-        components.append(component)
-    return components
 
 
 def _synthesize_clauses(manager: ObddManager, clauses: list[Clause], order: VariableOrder) -> int:

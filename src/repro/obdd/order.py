@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.errors import CompilationError
+from repro.lineage.dnf import DNF, Clause
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.indb.database import TupleIndependentDatabase
@@ -146,3 +147,52 @@ def order_from_permutations(
 def natural_order(variables: Iterable[int]) -> VariableOrder:
     """A fallback order: variables sorted by their integer id."""
     return VariableOrder(sorted(set(variables)))
+
+
+def connected_components(clauses: Iterable[Clause]) -> list[list[Clause]]:
+    """Partition clauses into connected components by shared variables."""
+    clause_list = list(clauses)
+    var_to_indices: dict[int, list[int]] = {}
+    for index, clause in enumerate(clause_list):
+        for variable in clause:
+            var_to_indices.setdefault(variable, []).append(index)
+    visited = [False] * len(clause_list)
+    components: list[list[Clause]] = []
+    for start in range(len(clause_list)):
+        if visited[start]:
+            continue
+        stack = [start]
+        visited[start] = True
+        component: list[Clause] = []
+        while stack:
+            index = stack.pop()
+            component.append(clause_list[index])
+            for variable in clause_list[index]:
+                for other in var_to_indices[variable]:
+                    if not visited[other]:
+                        visited[other] = True
+                        stack.append(other)
+        components.append(component)
+    return components
+
+
+def component_order(formula: DNF, base: VariableOrder | None = None) -> VariableOrder:
+    """An order that gives each connected component of ``formula`` one contiguous run.
+
+    Independent components then occupy disjoint level ranges, so
+    :func:`repro.obdd.construct.build_obdd` concatenates them instead of
+    synthesising them together.  This matters whenever ids interleave the
+    components: an INDB numbers its tuples table by table, so under
+    :func:`natural_order` the lineage ``⋁_i R_i ∧ S_i`` of ``Q :- R(x), S(x, y)``
+    has an OBDD exponential in the number of groups, and an engine's order
+    after an append puts the new tuples after all the old ones.  Inside a
+    run, variables keep their order in ``base`` (default: by id); runs are
+    placed by their first variable.
+    """
+    rank = base.level_map.__getitem__ if base is not None else int
+    runs = [
+        sorted({variable for clause in component for variable in clause}, key=rank)
+        for component in connected_components(formula.clauses)
+    ]
+    runs.sort(key=lambda run: rank(run[0]) if run else -1)
+    return VariableOrder(variable for run in runs for variable in run)

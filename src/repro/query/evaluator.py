@@ -510,25 +510,17 @@ def boolean_lineage(
 
 
 def answer_probabilities(
-    result: QueryResult,
-    probabilities: Mapping[int, float],
-    method: str = "obdd",
+    result: QueryResult, probabilities: Mapping[int, float]
 ) -> dict[tuple[Any, ...], float]:
-    """Marginal probability of each answer from its lineage.
+    """Exact marginal probability of each answer: the OBDD of its lineage.
 
-    ``method`` is ``"obdd"`` (exact, default: the lineage's OBDD under the
-    natural variable order) or ``"enumeration"`` (exact brute force; only
-    for tiny lineages).
+    Each lineage compiles under :func:`repro.obdd.order.component_order`,
+    so independent derivations are concatenated, not synthesised.
     """
-    from repro.lineage.enumeration import brute_force_probability
     from repro.obdd.construct import build_obdd
-    from repro.obdd.order import natural_order
+    from repro.obdd.order import component_order
 
     output: dict[tuple[Any, ...], float] = {}
     for answer, formula in result.lineages().items():
-        if method == "enumeration":
-            output[answer] = brute_force_probability(formula, probabilities)
-        else:
-            compiled = build_obdd(formula, natural_order(formula.variables()))
-            output[answer] = compiled.probability(probabilities)
+        output[answer] = build_obdd(formula, component_order(formula)).probability(probabilities)
     return output

@@ -61,7 +61,7 @@ class QueryResult:
     #: Wall-clock seconds spent producing this result (cache hits included).
     wall_time: float = 0.0
     #: Nodes of the query OBDDs compiled during evaluation (0 when the
-    #: method does not compile one, e.g. Shannon expansion).
+    #: method does not compile one, e.g. enumeration or sampling).
     obdd_nodes: int = 0
     #: Pairwise expansion steps performed by the MV-index intersections.
     steps: int = 0

@@ -23,9 +23,9 @@ from typing import Mapping
 
 from repro.errors import CompilationError
 from repro.lineage.dnf import DNF
-from repro.obdd.construct import CompiledObdd, clause_obdd, connected_components
+from repro.obdd.construct import CompiledObdd, clause_obdd
 from repro.obdd.manager import ONE, ZERO, ObddManager
-from repro.obdd.order import VariableOrder
+from repro.obdd.order import VariableOrder, connected_components
 
 
 class ReferenceKernel:

@@ -26,7 +26,7 @@ def small_mvdb():
 
 #: ``(method, build_index)``.  The ``shannon`` id pins the path the retired
 #: Shannon method served: no MV-index, so ``obdd`` with the engine's own
-#: ``P0(W)`` fallback (the OBDD of ``W`` under Π).
+#: ``P0(W)`` fallback (the OBDD of ``W``, one run per component).
 NO_INDEX_PATH = pytest.param("obdd", False, id="shannon")
 
 
@@ -133,11 +133,38 @@ class TestEngineCorrectness:
         assert engine.boolean_probability(query, method="obdd") == pytest.approx(expected)
 
     def test_p0_w_consistent_between_index_and_shannon(self):
-        # Without an index, P0(W) comes from the OBDD of W under Π.
+        # Without an index, P0(W) comes from the OBDD of W, one run per component.
         mvdb = small_mvdb()
         with_index = MVQueryEngine(mvdb, build_index=True)
         without_index = MVQueryEngine(mvdb, build_index=False)
         assert with_index.p0_w() == pytest.approx(without_index.p0_w())
+
+    def test_p0_w_without_index_stays_linear_after_an_append(self):
+        # An append puts the new tuples after all the old ones in the engine
+        # order, so 40 fresh view groups interleave there: compiling W under
+        # that order needs about 2^40 nodes and never finishes.
+        def mvdb(groups):
+            mvdb = MVDB()
+            mvdb.add_probabilistic_table(
+                "R", ["x"],
+                [((f"a{i}",), 1.0) for i in range(4)] + [((f"b{i}",), 0.5) for i in range(groups)],
+            )
+            mvdb.add_probabilistic_table(
+                "S", ["x", "y"],
+                [((f"a{i}", 1), 2.0) for i in range(4)]
+                + [((f"b{i}", y), 1.5) for i in range(groups) for y in (1, 2)],
+            )
+            mvdb.add_markoview(MarkoView("V", parse_query("V(x) :- R(x), S(x, y)"), 2.0))
+            return mvdb
+
+        groups = 40
+        engine = MVQueryEngine(mvdb(0), build_index=False)
+        engine.append_facts({
+            "R": [[[f"b{i}"], 0.5] for i in range(groups)],
+            "S": [[[f"b{i}", y], 1.5] for i in range(groups) for y in (1, 2)],
+        })
+        rebuilt = MVQueryEngine(mvdb(groups))
+        assert engine.p0_w() == pytest.approx(rebuilt.p0_w(), rel=1e-12)
 
     def test_probabilities_in_unit_interval(self):
         engine = MVQueryEngine(small_mvdb())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.db import Database
 from repro.indb import TupleIndependentDatabase, probability_to_weight
+from repro.lineage import brute_force_probability
 from repro.query import (
     answer_probabilities,
     boolean_lineage,
@@ -145,12 +146,26 @@ class TestLineageExtraction:
     def test_answer_probabilities_helper(self, figure3_indb):
         query = parse_query("Q(x) :- R(x), S(x, y)")
         result = evaluate_ucq(query, figure3_indb.database, figure3_indb)
-        probs = answer_probabilities(result, figure3_indb.probabilities())
-        enumerated = answer_probabilities(
-            result, figure3_indb.probabilities(), method="enumeration"
+        probabilities = figure3_indb.probabilities()
+        probs = answer_probabilities(result, probabilities)
+        for answer, formula in result.lineages().items():
+            assert probs[answer] == pytest.approx(brute_force_probability(formula, probabilities))
+
+    def test_many_groups_match_closed_form(self):
+        # The INDB numbers R's tuples before S's, so the id order interleaves
+        # the 40 independent groups of R(x) ∧ S(x, y); compiling under it
+        # needs about 2^40 nodes and never finishes.
+        groups = 40
+        indb = TupleIndependentDatabase()
+        indb.add_probabilistic_table("R", ["a"], [((f"a{i}",), 1.0) for i in range(groups)])
+        indb.add_probabilistic_table(
+            "S", ["a", "b"], [((f"a{i}", b), 0.5 + b) for i in range(groups) for b in (0, 1)]
         )
-        for answer, value in probs.items():
-            assert value == pytest.approx(enumerated[answer])
+        p_group = 0.5 * (1 - (1 - 1 / 3) * (1 - 0.6))
+        expected = 1 - (1 - p_group) ** groups
+        query = parse_query("Q :- R(x), S(x, y)")
+        assert indb.query_probability(query) == pytest.approx(expected, rel=1e-12)
+        assert indb.query_answers(query) == {(): pytest.approx(expected, rel=1e-12)}
 
 
 class TestPossibleWorlds:
