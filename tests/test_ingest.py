@@ -605,3 +605,64 @@ class TestConcurrentAppendsOnSqlite:
         for observed in generations:
             assert observed and observed == sorted(observed)
         _assert_matches_rebuild(engine, W_QUERIES)
+
+
+class TestLinearisableReads:
+    def test_every_read_equals_the_reference_at_its_generation(self):
+        # Linearisability of reads beside one writer (Herlihy and Wing):
+        # each answer is bit-identical to a sequential replay at the
+        # generation the read returned, and that generation lies between
+        # the last append acknowledged before the read began and the first
+        # append begun after it ended.  Order is taken from counters, not
+        # from a clock.
+        reference = repro.connect(build_mvdb(_config()).mvdb)
+        rng = random.Random(7)
+        payloads: list[dict] = []
+        expected = [{query: _answers(reference, query) for query in W_QUERIES}]
+        for step in range(8):
+            payloads.append(w_changing_append(reference.engine.mvdb, rng, step))
+            reference.append_facts(payloads[-1])
+            expected.append({query: _answers(reference, query) for query in W_QUERIES})
+
+        dispatcher = Dispatcher(MVQueryEngine(build_mvdb(_config()).mvdb))
+        begun = acknowledged = 0
+        stop = threading.Event()
+        reads: list[tuple[int, int, int, str, dict]] = []
+        errors: list[BaseException] = []
+
+        def read(slot: int) -> None:
+            turn = slot
+            while not stop.is_set():
+                query = W_QUERIES[turn % len(W_QUERIES)]
+                turn += 1
+                low = acknowledged
+                try:
+                    result, generation = dispatcher.execute(query)
+                except BaseException as exc:  # noqa: BLE001 - recorded for the assert
+                    errors.append(exc)
+                    return
+                high = begun
+                answers = {row.values: row.probability for row in result}
+                reads.append((low, generation, high, query, answers))
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for payload in payloads:
+                begun += 1
+                dispatcher.append_facts(payload)
+                acknowledged += 1
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            for thread in threads:
+                thread.join()
+            dispatcher.close()
+        assert not errors, f"reader thread failed: {errors[0]!r}"
+        assert reads
+        for low, generation, high, query, answers in reads:
+            assert low <= generation <= high, (low, generation, high, query)
+            assert answers == expected[generation][query], (generation, query)
