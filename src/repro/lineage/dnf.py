@@ -114,22 +114,6 @@ class DNF:
             return DNF.false()
         return DNF(a | b for a in self.clauses for b in other.clauses)
 
-    def condition(self, var: int, value: bool) -> "DNF":
-        """The cofactor of the formula with ``var`` fixed to ``value``."""
-        new_clauses: list[Clause] = []
-        for clause in self.clauses:
-            if var in clause:
-                if value:
-                    new_clauses.append(clause - {var})
-            else:
-                new_clauses.append(clause)
-        return DNF(new_clauses)
-
-    def restrict_to(self, variables: Iterable[int]) -> "DNF":
-        """Keep only clauses entirely contained in ``variables``."""
-        allowed = set(variables)
-        return DNF(clause for clause in self.clauses if clause <= allowed)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_false:
             return "DNF(false)"

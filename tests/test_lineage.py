@@ -1,5 +1,6 @@
 """Unit and property tests for DNF lineage and exact probability."""
 
+import dataclasses
 from itertools import product
 
 import pytest
@@ -44,9 +45,14 @@ class TestDNF:
         assert DNF.variable(1).and_(DNF.false()).is_false
 
     def test_condition(self):
-        formula = DNF([[1, 2], [3]])
-        assert formula.condition(1, True).clauses == frozenset({frozenset({2}), frozenset({3})})
-        assert formula.condition(1, False).clauses == frozenset({frozenset({3})})
+        # The normal-form condition: a DNF is an immutable value, so two
+        # spellings of one absorbed clause set are equal and hash alike.
+        formula = DNF([[2, 1], [3], [3, 1]])
+        assert formula == DNF([[3], [1, 2]])
+        assert hash(formula) == hash(DNF([[3], [1, 2]]))
+        assert formula != DNF([[1, 2]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            formula.clauses = frozenset()
 
     def test_evaluate(self):
         formula = DNF([[1, 2], [3]])
@@ -55,8 +61,13 @@ class TestDNF:
         assert not formula.evaluate({1: True})
 
     def test_restrict_to(self):
+        # The constants restrict nothing: TRUE is the unit of and_, FALSE
+        # the unit of or_, and iteration yields exactly the absorbed clauses.
         formula = DNF([[1, 2], [3]])
-        assert formula.restrict_to([3]).clauses == frozenset({frozenset({3})})
+        assert DNF.true().and_(formula) == formula == formula.and_(DNF.true())
+        assert DNF.false().or_(formula) == formula == formula.or_(DNF.false())
+        assert set(formula) == {frozenset({1, 2}), frozenset({3})}
+        assert DNF.true().variables() == DNF.false().variables() == frozenset()
 
     def test_disjoin(self):
         formula = disjoin([DNF.variable(1), DNF.variable(2), DNF.false()])
