@@ -15,6 +15,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,14 +44,30 @@ def test_every_binding_resolves():
     assert layers.dispatcher_class() is not None
 
 
-def test_traced_cold_selective_smoke_has_no_null_value():
+def _traced_smoke_nulls(workload: str) -> tuple[list[str], str]:
+    """The per-layer metrics a traced ``--smoke`` run of ``workload`` leaves null."""
     done = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "cold_selective",
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seed", "3", "--seconds", "0.3", "--smoke", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )
-    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.returncode == 0, (workload, done.stderr[-2000:])
     result = json.loads(done.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
-    assert result["correct"] is True, result
+    assert result["correct"] is True, (workload, result)
     nulls = sorted(name for name, metric in result["metrics"].items() if metric["value"] is None)
-    assert nulls == [], done.stdout[-2000:]
+    return nulls, done.stdout[-2000:]
+
+
+def test_traced_cold_selective_smoke_has_no_null_value():
+    nulls, output = _traced_smoke_nulls("cold_selective")
+    assert nulls == [], output
+
+
+def test_traced_serving_smokes_have_no_null_value():
+    # The serving workloads bind the dispatcher, the server and the router,
+    # which the in-process workload above never starts.  Two at a time.
+    workloads = ["serve_zipf", "fleet_hot", "ingest_subscribe"]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outcomes = list(pool.map(_traced_smoke_nulls, workloads))
+    for workload, (nulls, output) in zip(workloads, outcomes):
+        assert nulls == [], (workload, output)
