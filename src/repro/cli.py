@@ -29,7 +29,7 @@ Two families of commands share the ``repro`` entry point:
   :mod:`repro.serving.server`, and ``loadtest`` drives a running server
   with the zipf-skewed workload mix of :mod:`repro.serving.loadgen`::
 
-      python -m repro serve dblp-index.json.gz --port 8080 --workers 4
+      python -m repro serve dblp-index.json.gz --port 8080
       python -m repro loadtest --duration 10 --concurrency 8
       python -m repro ingest --duration 15 --append-interval 1 --extend-views V1,V2,V3
       python -m repro subscribe "Q(a) :- Advisor(x, a)" --threshold ">=0.5"
@@ -273,12 +273,11 @@ def build_serving_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes behind a consistent-hash router (>1 forks a fleet)",
     )
-    serve.add_argument("--workers", type=int, default=4, help="dispatch worker threads")
     serve.add_argument(
-        "--max-queue", type=int, default=64, help="admission limit (queued + running requests)"
+        "--max-queue", type=int, default=64, help="admission limit (admitted, unfinished requests)"
     )
     serve.add_argument(
-        "--cache-size", type=int, default=None, help="per-worker session LRU capacity"
+        "--cache-size", type=int, default=None, help="session LRU capacity (default 1024)"
     )
     serve.add_argument("--verbose", action="store_true", help="log one line per request")
 
@@ -566,6 +565,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - 'repro se
 
     signal.signal(signal.SIGTERM, raise_interrupt)
     print(f"serving {source}", flush=True)
+    server_kwargs = {
+        "max_queue": args.max_queue,
+        **({"cache_size": args.cache_size} if args.cache_size is not None else {}),
+        "verbose": args.verbose,
+    }
     if args.replicas > 1:
         from repro.serving.router import serve_fleet
 
@@ -575,19 +579,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - 'repro se
             host=args.host,
             port=args.port,
             extender=extender,
-            server_kwargs={
-                "workers": args.workers,
-                "max_queue": args.max_queue,
-                **({"cache_size": args.cache_size} if args.cache_size is not None else {}),
-                "verbose": args.verbose,
-            },
+            server_kwargs=server_kwargs,
         )
         # bind() returns only after every replica passed its first health
         # check, so the URL line below never races a half-up fleet.
         router.bind()
         print(
             f"listening on {router.url} (replicas={args.replicas}, "
-            f"workers={args.workers}, max_queue={args.max_queue})",
+            f"max_queue={args.max_queue})",
             flush=True,
         )
         try:
@@ -601,22 +600,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - 'repro se
         engine,
         host=args.host,
         port=args.port,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        cache_size=args.cache_size,
         extender=extender,
-        verbose=args.verbose,
         # Standing queries registered against an artifact-backed server are
         # durable: a restart re-arms them from the sidecar.
         subscriptions_path=(
             f"{args.artifact}.subs.json" if args.artifact is not None else None
         ),
+        **server_kwargs,
     )
     server.dispatcher.warm()
     # The URL line goes out after the server is bound (and flushed) so
     # scripts that started this process with --port 0 can read the address.
-    print(f"listening on {server.url} (workers={args.workers}, max_queue={args.max_queue})",
-          flush=True)
+    print(f"listening on {server.url} (max_queue={args.max_queue})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive

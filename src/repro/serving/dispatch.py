@@ -4,17 +4,16 @@ The :class:`Dispatcher` sits between the HTTP handlers and the query
 engine and adds everything a network-facing serving process needs that a
 bare :class:`~repro.serving.session.QuerySession` does not have:
 
-* a **bounded request queue with admission control** — when the number of
-  queued-plus-running requests reaches ``max_queue``, new submissions are
-  refused with :class:`~repro.errors.AdmissionError` (surfaced as HTTP 429
-  with a ``Retry-After`` estimate) instead of building an unbounded backlog;
-* **per-worker session affinity** — each worker thread owns its own
-  :class:`QuerySession`; requests are routed by a stable hash of their
-  canonical UCQ key, so repeats of the same (or a re-phrased) query always
-  land on the worker whose caches are hot for it;
+* **admission control** — when the number of admitted, unfinished
+  requests reaches ``max_queue``, new ones are refused with
+  :class:`~repro.errors.AdmissionError` (surfaced as HTTP 429 with a
+  ``Retry-After`` estimate) instead of building an unbounded backlog;
+* **one session per process** — every request is computed on the calling
+  (HTTP handler) thread, against the one :class:`QuerySession` whose
+  caches every request shares;
 * **request coalescing** — identical in-flight canonical queries share one
-  computation: followers attach to the leader's future instead of queueing
-  duplicate work;
+  computation: followers wait on the leader's future instead of
+  duplicating its work;
 * a **string-tier result cache** — an LRU from the raw query text to the
   finished :class:`~repro.results.QueryResult`, which skips even the
   datalog parse on exact-text repeats (the hottest path under skewed
@@ -28,7 +27,7 @@ bare :class:`~repro.serving.session.QuerySession` does not have:
   :class:`~repro.core.pending.PendingExtend`; publication then takes the
   writer side of the lock only for an O(delta) patch — splice the tuples
   and lineage, import the pre-compiled node block, bump the generation,
-  clear the string tier and the coalescing table, and invalidate every
+  clear the string tier and the coalescing table, and invalidate the
   session.  Readers never wait on a compile, only on the pointer flip.
   Each request snapshots the generation before computing and re-checks it
   before publishing to a cache, so a mutation racing a query can never
@@ -43,14 +42,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import queue
 import threading
 import time
-import zlib
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.engine import MVQueryEngine
 from repro.core.mvdb import MVDB
@@ -63,12 +60,12 @@ from repro.results import QueryResult
 from repro.serving.canonical import canonical_key
 from repro.serving.session import DEFAULT_CACHE_SIZE, QuerySession
 
-#: Default number of worker threads (each owns one QuerySession).
-DEFAULT_WORKERS = 4
-#: Default admission limit: queued + running requests beyond this are 429'd.
+#: Default admission limit: admitted, unfinished requests beyond this are 429'd.
 DEFAULT_MAX_QUEUE = 64
-#: Default seconds a caller waits for its future before giving up.
-DEFAULT_TIMEOUT = 120.0
+#: Entries of the session's result and lineage LRUs.  The whole process
+#: shares the one session, so it holds what four per-thread sessions of
+#: ``DEFAULT_CACHE_SIZE`` held together.
+DEFAULT_SESSION_CACHE_SIZE = 4 * DEFAULT_CACHE_SIZE
 #: Entries of the raw-query-text result cache (tier 0).
 DEFAULT_STRING_CACHE_SIZE = 1024
 #: Latency reservoir size for the percentile estimates.
@@ -99,8 +96,8 @@ EMPTY_SUBSCRIPTION_STATS: dict[str, Any] = {
 }
 
 #: The "skipping" section of /v1/stats when no analysis has run yet.  Query
-#: work is sharded across workers (and replicas), so merge_stats SUMS these
-#: counters, unlike the replicated subscription state above.
+#: work is sharded across replicas, so merge_stats SUMS these counters,
+#: unlike the replicated subscription state above.
 EMPTY_SKIPPING_STATS: dict[str, Any] = {
     "analyses_total": 0,
     "skipped_components_total": 0,
@@ -133,7 +130,7 @@ def render_metrics(stats: dict[str, Any], extra_lines: Sequence[str] = ()) -> st
         "# HELP repro_qps Requests per second over the trailing window.",
         "# TYPE repro_qps gauge",
         f"repro_qps {stats['throughput']['qps']:.6f}",
-        "# HELP repro_queue_depth Requests queued or running right now.",
+        "# HELP repro_queue_depth Requests admitted and not yet finished.",
         "# TYPE repro_queue_depth gauge",
         f"repro_queue_depth {stats['queue_depth']}",
         "# HELP repro_generation Invalidation epoch (bumped by /v1/extend).",
@@ -213,7 +210,7 @@ def merge_stats(documents: Sequence[dict[str, Any]]) -> dict[str, Any]:
 
     Counters (requests, answers, rejections, errors, cache hits/misses,
     responses by status) add up exactly.  Gauges compose by their natural
-    operation: queue depths and worker counts sum, uptime takes the oldest
+    operation: queue depths and admission limits sum, uptime takes the oldest
     replica.  ``generation`` is the **minimum** across replicas — the epoch
     every replica is guaranteed to have reached (during an extend broadcast
     replicas disagree briefly; ``generation_max`` exposes the frontier).
@@ -227,7 +224,6 @@ def merge_stats(documents: Sequence[dict[str, Any]]) -> dict[str, Any]:
             "generation_max": 0,
             "subscriptions": EMPTY_SUBSCRIPTION_STATS.copy(),
             "skipping": EMPTY_SKIPPING_STATS.copy(),
-            "workers": 0,
             "max_queue": 0,
             "queue_depth": 0,
             "in_flight": 0,
@@ -309,7 +305,6 @@ def merge_stats(documents: Sequence[dict[str, Any]]) -> dict[str, Any]:
         "generation_max": max(generations),
         "subscriptions": subscriptions,
         "skipping": skipping,
-        "workers": int(total("workers")),
         "max_queue": int(total("max_queue")),
         "queue_depth": int(total("queue_depth")),
         "in_flight": int(total("in_flight")),
@@ -425,9 +420,9 @@ class MetricsRegistry:
         self.errors_total = 0
         self.responses_by_status: dict[int, int] = {}
         # Only the dispatcher's own string tier is counted here; the result
-        # and lineage tiers keep their counters in the per-session
-        # statistics (aggregated by Dispatcher.cache_stats), so mirroring
-        # them here would just create a second, disagreeing copy.
+        # and lineage tiers keep their counters in the session's statistics
+        # (read by Dispatcher.cache_stats), so mirroring them here would
+        # just create a second, disagreeing copy.
         self.tier_hits: dict[str, int] = {}
         self.tier_misses: dict[str, int] = {}
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
@@ -509,51 +504,36 @@ class MetricsRegistry:
         }
 
 
-@dataclasses.dataclass
-class _Job:
-    """One unit of work queued to a dispatch worker."""
-
-    kind: str  # "query" | "batch"
-    payload: Any
-    method: str
-    raw: str | None
-    coalesce_key: tuple[Any, ...] | None
-    future: "Future[tuple[Any, int]]"
-
-
 class Dispatcher:
-    """Admission control, affinity, coalescing and metrics over one engine.
+    """Admission control, coalescing, caching and metrics over one engine.
+
+    Every request runs on the thread that calls :meth:`execute` (an HTTP
+    handler thread in a server), against one shared :class:`QuerySession`.
 
     Parameters
     ----------
     engine:
         The (shared, read-mostly) query engine to serve from.
-    workers:
-        Worker threads; each owns a :class:`QuerySession` whose caches stay
-        hot thanks to canonical-key affinity routing.
     max_queue:
-        Admission limit on queued-plus-running requests; beyond it,
-        :meth:`submit` raises :class:`~repro.errors.AdmissionError`.
+        Admission limit on admitted, unfinished requests; beyond it,
+        :meth:`execute` raises :class:`~repro.errors.AdmissionError`.
     cache_size:
-        Capacity of each per-worker session LRU (results and lineages).
+        Capacity of the session's result and lineage LRUs.
     string_cache_size:
-        Capacity of the shared raw-text result cache (tier 0).
+        Capacity of the raw-text result cache (tier 0).
     """
 
     def __init__(
         self,
         engine: MVQueryEngine,
-        workers: int = DEFAULT_WORKERS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        cache_size: int = DEFAULT_CACHE_SIZE,
+        cache_size: int = DEFAULT_SESSION_CACHE_SIZE,
         string_cache_size: int = DEFAULT_STRING_CACHE_SIZE,
     ) -> None:
-        if workers < 1:
-            raise ServingError(f"dispatcher needs at least one worker, got {workers}")
         self.engine = engine
         self.max_queue = max_queue
         self.metrics = MetricsRegistry()
-        self.sessions = [QuerySession(engine, cache_size=cache_size) for _ in range(workers)]
+        self.session = QuerySession(engine, cache_size=cache_size)
         self._rwlock = _ReadWriteLock()
         self._write_mutex = threading.Lock()
         self._state = threading.Lock()
@@ -567,16 +547,7 @@ class Dispatcher:
         #: section of stats() and handles replayed subscription log entries.
         self.subscription_service: Any | None = None
         self._delta_listeners: list[Any] = []
-        self._queues: list["queue.SimpleQueue[_Job | None]"] = [
-            queue.SimpleQueue() for _ in range(workers)
-        ]
         self._closed = False
-        self._threads = [
-            threading.Thread(target=self._worker_loop, args=(index,), daemon=True)
-            for index in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
 
     # ---------------------------------------------------------------- basics
     @property
@@ -587,14 +558,13 @@ class Dispatcher:
 
     @property
     def queue_depth(self) -> int:
-        """Requests currently queued or running."""
+        """Requests admitted and not yet finished."""
         with self._state:
             return self._pending
 
     def warm(self) -> None:
-        """Warm every worker session so first requests only read."""
-        for session in self.sessions:
-            session.warm()
+        """Warm the session so first requests only read."""
+        self.session.warm()
 
     def add_delta_listener(self, listener: Any) -> None:
         """Register a callable invoked after every published mutation.
@@ -635,26 +605,28 @@ class Dispatcher:
             yield
 
     def close(self) -> None:
-        """Stop the worker threads (idempotent)."""
-        with self._state:
-            if self._closed:
-                return
-            self._closed = True
-        for worker_queue in self._queues:
-            worker_queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=5.0)
+        """Refuse further queries (idempotent); nothing runs in the background."""
+        self._closed = True
 
-    # ------------------------------------------------------------ submission
+    # ------------------------------------------------------------- admission
     def _as_ucq(self, query: "str | UCQ | ConjunctiveQuery") -> UCQ:
         if isinstance(query, str):
             return as_ucq(parse_query(query))
         return as_ucq(query)
 
-    def _worker_for(self, key: str) -> int:
-        # A stable (process-independent) hash so a canonical query always
-        # lands on the session whose caches already hold it.
-        return zlib.crc32(key.encode("utf-8")) % len(self.sessions)
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ServingError("dispatcher is closed")
+
+    def _admit(self) -> None:
+        # Called with self._state held.
+        if self._pending >= self.max_queue:
+            self.metrics.observe_rejected()
+            raise AdmissionError(
+                f"request queue is full ({self._pending}/{self.max_queue})",
+                retry_after=self._retry_after(self._pending),
+            )
+        self._pending += 1
 
     def _retry_after(self, depth: int) -> float:
         # Called with self._state held — must not re-acquire it.  Under
@@ -666,7 +638,7 @@ class Dispatcher:
         if now - refreshed_at > 1.0:
             p50_s = self.metrics.latency_percentiles()["p50_ms"] / 1000.0
             self._retry_hint = (now, p50_s)
-        estimate = depth * max(p50_s, 0.005) / len(self.sessions)
+        estimate = depth * max(p50_s, 0.005)
         return min(30.0, max(1.0, math.ceil(estimate)))
 
     def _string_get(self, generation: int, raw: str, method: str) -> QueryResult | None:
@@ -681,172 +653,122 @@ class Dispatcher:
         while len(self._string_cache) > self._string_cache_size:
             self._string_cache.popitem(last=False)
 
-    def submit(
-        self, query: "str | UCQ | ConjunctiveQuery", method: str = "mvindex"
-    ) -> "Future[tuple[QueryResult, int]]":
-        """Enqueue one query; returns a future of ``(result, generation)``.
+    def _compute(self, work: Callable[[], Any]) -> tuple[Any, int]:
+        """Run an admitted request's work under the read side of the epoch lock."""
+        with self._rwlock.read_locked():
+            # The generation cannot change while the read side is held
+            # (a publish needs the write side), so it is the generation
+            # this computation is valid for.
+            with self._state:
+                generation = self._generation
+            return work(), generation
 
-        Raises :class:`~repro.errors.AdmissionError` when the bounded queue
-        is full, and parse/method errors synchronously (they are the
-        caller's to map to HTTP 400).  Identical in-flight canonical queries
-        are coalesced onto one future.
+    # ---------------------------------------------------------------- queries
+    def execute(
+        self, query: "str | UCQ | ConjunctiveQuery", method: str = "mvindex"
+    ) -> tuple[QueryResult, int]:
+        """Answer one query on the calling thread; returns ``(result, generation)``.
+
+        Raises :class:`~repro.errors.AdmissionError` when ``max_queue``
+        requests are already admitted and unfinished, and parse/method
+        errors before admission (they are the caller's to map to HTTP 400).
+        A caller whose canonical query is already being computed does not
+        compute it again: it waits for the leader's result.
         """
-        if self._closed:
-            raise ServingError("dispatcher is closed")
+        self._check_open()
+        start = time.monotonic()
         raw = query.strip() if isinstance(query, str) else None
         if raw is not None:
             with self._state:
-                cached = self._string_get(self._generation, raw, method)
-                if cached is not None:
-                    generation = self._generation
-                    self.metrics.observe_tier("string", True)
-                    future: "Future[tuple[QueryResult, int]]" = Future()
-                    future.set_result(
-                        (dataclasses.replace(cached, cached=True, wall_time=0.0), generation)
-                    )
-                    return future
-            self.metrics.observe_tier("string", False)
+                generation = self._generation
+                cached = self._string_get(generation, raw, method)
+            self.metrics.observe_tier("string", cached is not None)
+            if cached is not None:
+                result = dataclasses.replace(cached, cached=True, wall_time=0.0)
+                self.metrics.observe_request(time.monotonic() - start, answers=len(result))
+                return result, generation
+        # Admission refusals and parse/method mistakes propagate without
+        # touching errors_total — they are the caller's (HTTP 4xx), not
+        # failures of the serving tier.
         ucq = self._as_ucq(query)
-        self.engine.resolve_method(method)  # fail unknown methods before queueing
+        self.engine.resolve_method(method)
         self.engine.validate_query(ucq)
         key = canonical_key(ucq)
-        worker = self._worker_for(key)
         with self._state:
             coalesce_key = (self._generation, key, method)
-            existing = self._inflight.get(coalesce_key)
-            if existing is not None:
-                self.metrics.observe_coalesced()
-                return existing
-            if self._pending >= self.max_queue:
-                self.metrics.observe_rejected()
-                raise AdmissionError(
-                    f"request queue is full ({self._pending}/{self.max_queue})",
-                    retry_after=self._retry_after(self._pending),
-                )
-            future = Future()
-            self._inflight[coalesce_key] = future
-            self._pending += 1
-        self._queues[worker].put(
-            _Job(
-                kind="query",
-                payload=ucq,
-                method=method,
-                raw=raw,
-                coalesce_key=coalesce_key,
-                future=future,
-            )
-        )
-        return future
-
-    def execute(
-        self,
-        query: "str | UCQ | ConjunctiveQuery",
-        method: str = "mvindex",
-        timeout: float = DEFAULT_TIMEOUT,
-    ) -> tuple[QueryResult, int]:
-        """Submit and wait; returns ``(result, generation)`` and records metrics."""
-        start = time.monotonic()
-        # Admission refusals and parse/method mistakes propagate from
-        # submit() without touching errors_total — they are the caller's
-        # (HTTP 4xx), not failures of the serving tier.
-        future = self.submit(query, method=method)
+            leader = self._inflight.get(coalesce_key)
+            if leader is None:
+                self._admit()
+                future: "Future[tuple[QueryResult, int]]" = Future()
+                self._inflight[coalesce_key] = future
         try:
-            result, generation = future.result(timeout=timeout)
+            if leader is not None:
+                self.metrics.observe_coalesced()
+                result, generation = leader.result()
+            else:
+                result, generation = self._lead(future, coalesce_key, ucq, method, raw)
         except Exception:
             self.metrics.observe_error()
             raise
         self.metrics.observe_request(time.monotonic() - start, answers=len(result))
         return result, generation
 
+    def _lead(
+        self,
+        future: "Future[tuple[QueryResult, int]]",
+        coalesce_key: tuple[Any, ...],
+        ucq: UCQ,
+        method: str,
+        raw: str | None,
+    ) -> tuple[QueryResult, int]:
+        """Compute an admitted query and hand the outcome to its followers."""
+        try:
+            result, generation = self._compute(lambda: self.session.execute(ucq, method=method))
+        except BaseException as exc:
+            with self._state:
+                self._inflight.pop(coalesce_key, None)
+                self._pending -= 1
+            future.set_exception(exc)
+            raise
+        with self._state:
+            self._inflight.pop(coalesce_key, None)
+            self._pending -= 1
+            # Per-request generation check: publish to the string tier only
+            # if no mutation invalidated the engine since this result was
+            # computed.
+            if raw is not None and generation == self._generation:
+                self._string_put(generation, raw, method, result)
+        future.set_result((result, generation))
+        return result, generation
+
     def execute_batch(
         self,
         queries: Sequence["str | UCQ | ConjunctiveQuery"],
         method: str = "mvindex",
-        timeout: float = DEFAULT_TIMEOUT,
     ) -> tuple[list[QueryResult], int]:
-        """One shared relational pass for a whole batch (admitted as one job).
-
-        The batch routes to a single worker session (chosen by the combined
-        canonical key) so its cache stays hot for the batch's query mix.
-        """
-        if self._closed:
-            raise ServingError("dispatcher is closed")
+        """One shared relational pass for a whole batch (admitted as one request)."""
+        self._check_open()
         start = time.monotonic()
         ucqs = [self._as_ucq(query) for query in queries]
         self.engine.resolve_method(method)
         for ucq in ucqs:
             self.engine.validate_query(ucq)
-        keys = "|".join(canonical_key(ucq) for ucq in ucqs)
-        worker = self._worker_for(keys)
         with self._state:
-            if self._pending >= self.max_queue:
-                self.metrics.observe_rejected()
-                raise AdmissionError(
-                    f"request queue is full ({self._pending}/{self.max_queue})",
-                    retry_after=self._retry_after(self._pending),
-                )
-            future: "Future[tuple[list[QueryResult], int]]" = Future()
-            self._pending += 1
-        self._queues[worker].put(
-            _Job(
-                kind="batch",
-                payload=ucqs,
-                method=method,
-                raw=None,
-                coalesce_key=None,
-                future=future,
-            )
-        )
+            self._admit()
         try:
-            results, generation = future.result(timeout=timeout)
+            results, generation = self._compute(
+                lambda: self.session.execute_batch(ucqs, method=method)
+            )
         except Exception:
             self.metrics.observe_error()
             raise
+        finally:
+            with self._state:
+                self._pending -= 1
         elapsed = time.monotonic() - start
         for result in results:
             self.metrics.observe_request(elapsed / max(len(results), 1), answers=len(result))
         return results, generation
-
-    # ---------------------------------------------------------------- worker
-    def _worker_loop(self, index: int) -> None:
-        session = self.sessions[index]
-        jobs = self._queues[index]
-        while True:
-            job = jobs.get()
-            if job is None:
-                return
-            outcome: BaseException | tuple[Any, int]
-            try:
-                with self._rwlock.read_locked():
-                    # Generation cannot change while we hold the read side
-                    # (extend needs the write side), so the snapshot below is
-                    # the generation this computation is valid for.
-                    with self._state:
-                        generation = self._generation
-                    if job.kind == "query":
-                        value = session.execute(job.payload, method=job.method)
-                    else:
-                        value = session.execute_batch(job.payload, method=job.method)
-                outcome = (value, generation)
-            except BaseException as exc:  # surfaced through the future
-                outcome = exc
-            with self._state:
-                if job.coalesce_key is not None:
-                    self._inflight.pop(job.coalesce_key, None)
-                self._pending -= 1
-                if (
-                    not isinstance(outcome, BaseException)
-                    and job.raw is not None
-                    # Per-request generation check: publish to the string
-                    # tier only if no extend() invalidated the engine since
-                    # this result was computed.
-                    and outcome[1] == self._generation
-                ):
-                    self._string_put(outcome[1], job.raw, job.method, outcome[0])
-            if isinstance(outcome, BaseException):
-                job.future.set_exception(outcome)
-            else:
-                job.future.set_result(outcome)
 
     # -------------------------------------------------------------- mutation
     def _publish(self, pending: PendingExtend) -> tuple[list[int], int]:
@@ -855,8 +777,8 @@ class Dispatcher:
         The writer side of the read/write lock is held only for the
         O(delta) patch (:meth:`MVQueryEngine.apply_pending`) plus the
         invalidation sweep: bump the generation, clear the string tier and
-        the coalescing table, and invalidate every worker session (which
-        bumps the sessions' own generations).  This is the *only* path that
+        the coalescing table, and invalidate the session (which bumps the
+        session's own generation).  This is the *only* path that
         mutates the engine, so every cache tier sees exactly one
         invalidation ordering.
         """
@@ -867,8 +789,7 @@ class Dispatcher:
                 generation = self._generation
                 self._string_cache.clear()
                 self._inflight.clear()
-            for session in self.sessions:
-                session.invalidate()
+            self.session.invalidate()
         if self._delta_listeners:
             descriptor = pending.delta_descriptor()
             descriptor["generation"] = generation
@@ -930,16 +851,7 @@ class Dispatcher:
     # ------------------------------------------------------------ inspection
     def cache_stats(self) -> dict[str, Any]:
         """Per-tier hit/miss counts and ratios (string, result, lineage)."""
-        result_hits = result_misses = lineage_hits = lineage_misses = 0
-        entries = {"result": 0, "lineage": 0}
-        for session in self.sessions:
-            info = session.cache_info()
-            result_hits += info["result_hits"]
-            result_misses += info["result_misses"]
-            lineage_hits += info["lineage_hits"]
-            lineage_misses += info["lineage_misses"]
-            entries["result"] += info["result_entries"]
-            entries["lineage"] += info["lineage_entries"]
+        info = self.session.cache_info()
         with self._state:
             string_entries = len(self._string_cache)
         string_hits = self.metrics.tier_hits.get("string", 0)
@@ -956,21 +868,19 @@ class Dispatcher:
 
         return {
             "string": tier(string_hits, string_misses, string_entries),
-            "result": tier(result_hits, result_misses, entries["result"]),
-            "lineage": tier(lineage_hits, lineage_misses, entries["lineage"]),
+            "result": tier(info["result_hits"], info["result_misses"], info["result_entries"]),
+            "lineage": tier(
+                info["lineage_hits"], info["lineage_misses"], info["lineage_entries"]
+            ),
         }
 
     def skipping_stats(self) -> dict[str, Any]:
-        """The "skipping" section of ``/v1/stats``, summed over worker sessions."""
-        analyses = skipped = relevant = 0
-        for session in self.sessions:
-            info = session.cache_info()
-            analyses += info["skip_analyses"]
-            skipped += info["skipped_components"]
-            relevant += info["relevant_components"]
+        """The "skipping" section of ``/v1/stats``, read off the session."""
+        info = self.session.cache_info()
+        skipped, relevant = info["skipped_components"], info["relevant_components"]
         analyzed = skipped + relevant
         return {
-            "analyses_total": analyses,
+            "analyses_total": info["skip_analyses"],
             "skipped_components_total": skipped,
             "relevant_components_total": relevant,
             "skip_ratio": skipped / analyzed if analyzed else 0.0,
@@ -992,7 +902,6 @@ class Dispatcher:
             "generation": generation,
             "subscriptions": subscriptions,
             "skipping": self.skipping_stats(),
-            "workers": len(self.sessions),
             "max_queue": self.max_queue,
             "queue_depth": pending,
             "in_flight": inflight,
@@ -1023,6 +932,5 @@ class Dispatcher:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Dispatcher({len(self.sessions)} workers, max_queue={self.max_queue}, "
-            f"generation={self.generation})"
+            f"Dispatcher(max_queue={self.max_queue}, generation={self.generation})"
         )

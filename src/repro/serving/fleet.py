@@ -191,7 +191,7 @@ class ReplicaFleet:
         extend log on restart.
     server_kwargs:
         Extra keyword arguments for each replica's ``ProbServer``
-        (``workers``, ``max_queue``, ``cache_size``, ``verbose``).
+        (``max_queue``, ``cache_size``, ``verbose``).
     health_interval / restart_backoff / ready_timeout:
         Monitor cadence, re-fork delay, and per-fork startup budget.
     on_death:

@@ -709,7 +709,6 @@ class Router:
             if document is None:
                 return
             folded = json.loads(json.dumps(document))
-            folded["workers"] = 0
             folded["max_queue"] = 0
             folded["queue_depth"] = 0
             folded["in_flight"] = 0

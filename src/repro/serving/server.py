@@ -1,7 +1,7 @@
 """A stdlib-only JSON-over-HTTP front end for a compiled probabilistic DB.
 
 :class:`ProbServer` wraps a :class:`~repro.serving.dispatch.Dispatcher`
-(admission control, session affinity, coalescing, metrics) in a
+(admission control, coalescing, caching, metrics) in a
 ``ThreadingHTTPServer`` and speaks a small JSON protocol:
 
 ========================  =====================================================
@@ -58,11 +58,7 @@ from typing import Any, Callable
 from repro.core.engine import MVQueryEngine
 from repro.core.mvdb import MVDB
 from repro.errors import AdmissionError, ReproError, ServingError, wire_name
-from repro.serving.dispatch import (
-    DEFAULT_MAX_QUEUE,
-    DEFAULT_WORKERS,
-    Dispatcher,
-)
+from repro.serving.dispatch import DEFAULT_MAX_QUEUE, DEFAULT_SESSION_CACHE_SIZE, Dispatcher
 from repro.serving.fleet import replay_entry
 from repro.subscribe import SubscriptionService
 
@@ -242,7 +238,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "status": "ok",
                 "generation": prob_server.dispatcher.generation,
                 "uptime_s": prob_server.dispatcher.metrics.uptime_s(),
-                "workers": len(prob_server.dispatcher.sessions),
             },
         )
 
@@ -397,8 +392,9 @@ class ProbServer:
         The compiled engine to serve (typically ``repro.open(artifact).engine``).
     host / port:
         Bind address; ``port=0`` picks a free ephemeral port (see :attr:`url`).
-    workers / max_queue / cache_size:
-        Forwarded to the :class:`~repro.serving.dispatch.Dispatcher`.
+    max_queue / cache_size:
+        Forwarded to the :class:`~repro.serving.dispatch.Dispatcher`, which
+        answers each query on the handler thread that received it.
     extender:
         Optional callable mapping a ``/v1/extend`` JSON body to an
         :class:`~repro.core.mvdb.MVDB`; without it the endpoint answers 501.
@@ -415,17 +411,13 @@ class ProbServer:
         engine: MVQueryEngine,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = DEFAULT_WORKERS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        cache_size: int | None = None,
+        cache_size: int = DEFAULT_SESSION_CACHE_SIZE,
         extender: Callable[[dict[str, Any]], MVDB] | None = None,
         subscriptions_path: str | None = None,
         verbose: bool = False,
     ) -> None:
-        dispatcher_kwargs: dict[str, Any] = {"workers": workers, "max_queue": max_queue}
-        if cache_size is not None:
-            dispatcher_kwargs["cache_size"] = cache_size
-        self.dispatcher = Dispatcher(engine, **dispatcher_kwargs)
+        self.dispatcher = Dispatcher(engine, max_queue=max_queue, cache_size=cache_size)
         self.subscriptions = SubscriptionService(self.dispatcher, path=subscriptions_path)
         self.extender = extender
         self.verbose = verbose

@@ -244,7 +244,7 @@ class TestSubscriptionCli:
     def test_subscribe_then_notify_listen_prints_the_notification(self, capsys):
         from repro.serving.server import ProbServer
 
-        with ProbServer(self._engine(), port=0, workers=1) as server:
+        with ProbServer(self._engine(), port=0) as server:
             url = server.url
             assert main(["subscribe", "--url", url, "Q(x) :- R(x)", "--threshold", ">=0.3"]) == 0
             registered = json.loads(capsys.readouterr().out)

@@ -119,7 +119,6 @@ class TestMergeStats:
     def _doc(self, requests=10, generation=1, p50=2.0, count=10, rejected=0):
         return {
             "generation": generation,
-            "workers": 2,
             "max_queue": 64,
             "queue_depth": 1,
             "in_flight": 1,
@@ -151,7 +150,6 @@ class TestMergeStats:
         assert merged["throughput"]["requests_total"] == 40
         assert merged["generation"] == 1
         assert merged["generation_max"] == 2
-        assert merged["workers"] == 4
         assert merged["errors"]["responses_by_status"] == {"200": 40}
         assert merged["cache"]["string"]["hits"] == 8
         assert merged["cache"]["string"]["hit_ratio"] == pytest.approx(8 / 20)
@@ -173,7 +171,7 @@ class TestMergeStats:
 # ------------------------------------------------------------------- drain
 class TestGracefulDrain:
     def test_stop_is_not_blocked_by_idle_keepalive_connections(self, engine):
-        server = ProbServer(engine, workers=1).start()
+        server = ProbServer(engine).start()
         # An idle keep-alive connection parks a handler thread in readline;
         # with block_on_close unset, server_close() would join that thread
         # forever.  stop() must return promptly regardless.
@@ -186,7 +184,7 @@ class TestGracefulDrain:
             parked.close()
 
     def test_stop_waits_for_in_flight_requests(self, engine):
-        server = ProbServer(engine, workers=1).start()
+        server = ProbServer(engine).start()
         connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
         body = json.dumps({"query": QUERIES[0]})
         results = {}
@@ -218,7 +216,7 @@ def router(engine):
         engine,
         replicas=2,
         extender=_extender,
-        server_kwargs={"workers": 2, "max_queue": 32},
+        server_kwargs={"max_queue": 32},
         health_interval=FAST["health_interval"],
     ).start()
     router.fleet.restart_backoff = FAST["restart_backoff"]
@@ -534,7 +532,7 @@ class TestBroadcastConsistencyCheck:
         # The monitor is parked on a long interval; the test runs the
         # check passes itself.
         fleet = ReplicaFleet(
-            engine, 1, server_kwargs={"workers": 1}, health_interval=3600.0,
+            engine, 1, health_interval=3600.0,
             restart_backoff=0.0,
         ).start()
         try:
@@ -560,7 +558,7 @@ class TestBroadcastConsistencyCheck:
 class TestRouterAllReplicasDown:
     def test_503_only_when_every_replica_is_down(self, engine):
         fleet = ReplicaFleet(
-            engine, 1, server_kwargs={"workers": 1}, health_interval=30.0
+            engine, 1, health_interval=30.0
         )
         router = Router(fleet)
         router.start()
@@ -603,7 +601,7 @@ class TestServeCliFleet:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
-                "--replicas", "2", "--groups", str(GROUPS), "--workers", "2",
+                "--replicas", "2", "--groups", str(GROUPS),
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
         )

@@ -183,7 +183,7 @@ class TestNonBlockingWritePath:
         engine = repro.connect(
             build_mvdb(_config(), include_views=("V1", "V2")).mvdb
         ).engine
-        dispatcher = Dispatcher(engine, workers=4)
+        dispatcher = Dispatcher(engine)
         try:
             dispatcher.execute(STUDENTS)  # warm: lineage + caches
 
@@ -204,7 +204,7 @@ class TestNonBlockingWritePath:
                 while not stop.is_set():
                     begin = time.monotonic()
                     try:
-                        __, generation = dispatcher.execute(STUDENTS, timeout=30)
+                        __, generation = dispatcher.execute(STUDENTS)
                     except BaseException as exc:  # noqa: BLE001 - recorded for the assert
                         errors.append(exc)
                         return
@@ -259,7 +259,7 @@ class TestNonBlockingWritePath:
             build_mvdb(_config(), include_views=("V1", "V2")).mvdb
         )
         reference.extend(build_mvdb(_config()).mvdb)
-        post = Dispatcher(engine, workers=1)
+        post = Dispatcher(engine)
         try:
             result, __ = post.execute(AFFILIATION)
             swapped = {row.values: row.probability for row in result}
@@ -269,7 +269,7 @@ class TestNonBlockingWritePath:
 
     def test_append_through_the_dispatcher_bumps_the_generation(self):
         engine = repro.connect(build_mvdb(_config()).mvdb).engine
-        dispatcher = Dispatcher(engine, workers=2)
+        dispatcher = Dispatcher(engine)
         try:
             __, before = dispatcher.execute(STUDENTS)
             count, generation, sealed = dispatcher.append_facts(FACTS)
@@ -283,6 +283,32 @@ class TestNonBlockingWritePath:
             )
         finally:
             dispatcher.close()
+
+    def test_the_dispatcher_starts_no_thread(self, monkeypatch):
+        # Every request runs on its caller's thread: construction, a miss, a
+        # string-tier hit, an append and close() start nothing.  Threads left
+        # over from other tests may exit meanwhile, so the check is "no
+        # thread started and none alive that was not alive before", not a
+        # count.
+        engine = repro.connect(build_mvdb(_config()).mvdb).engine
+        started: list[threading.Thread] = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread: threading.Thread) -> None:
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        before = set(threading.enumerate())
+        dispatcher = Dispatcher(engine)
+        result, __ = dispatcher.execute(STUDENTS)
+        assert not result.cached
+        result, __ = dispatcher.execute(STUDENTS)
+        assert result.cached and dispatcher.cache_stats()["string"]["hits"] == 1
+        dispatcher.append_facts(FACTS)
+        dispatcher.close()
+        assert started == []
+        assert set(threading.enumerate()) <= before
 
 
 # ------------------------------------------------------- semi-naive appends
@@ -545,7 +571,7 @@ class TestAppendIsDeltaSized:
         counts = {}
         for groups in (24, 96):
             mvdb = build_mvdb(DblpConfig(group_count=groups, seed=SEED)).mvdb
-            dispatcher = Dispatcher(MVQueryEngine(mvdb), workers=1)
+            dispatcher = Dispatcher(MVQueryEngine(mvdb))
             # Registered before the service's tick, so it runs first.
             dispatcher.add_delta_listener(lambda descriptor: emitted.clear())
             service = SubscriptionService(dispatcher)
@@ -571,7 +597,7 @@ class TestConcurrentAppendsOnSqlite:
     def test_readers_stream_beside_w_changing_appends(self):
         config = DblpConfig(group_count=GROUPS, seed=SEED)
         engine = MVQueryEngine(build_mvdb(config, backend="sqlite").mvdb)
-        dispatcher = Dispatcher(engine, workers=2)
+        dispatcher = Dispatcher(engine)
         stop = threading.Event()
         generations: list[list[int]] = [[] for _ in range(3)]
         errors: list[BaseException] = []
@@ -579,7 +605,7 @@ class TestConcurrentAppendsOnSqlite:
         def read(slot: int) -> None:
             while not stop.is_set():
                 try:
-                    __, generation = dispatcher.execute(W_QUERIES[slot], timeout=30)
+                    __, generation = dispatcher.execute(W_QUERIES[slot])
                 except BaseException as exc:  # noqa: BLE001 - recorded for the assert
                     errors.append(exc)
                     return

@@ -60,9 +60,7 @@ def db():
 
 @pytest.fixture(scope="module")
 def server(db):
-    server = ProbServer(
-        db.engine, port=0, workers=2, max_queue=32, extender=_dblp_extender
-    ).start()
+    server = ProbServer(db.engine, port=0, max_queue=32, extender=_dblp_extender).start()
     yield server
     server.stop()
 
@@ -142,14 +140,12 @@ class TestProtocolSchemas:
         assert health["status"] == "ok"
         assert isinstance(health["generation"], int)
         assert health["uptime_s"] > 0
-        assert health["workers"] == 2
 
     def test_stats_schema(self, remote):
         remote.query(QUERIES[0])
         stats = remote.stats()
         assert {
             "generation",
-            "workers",
             "max_queue",
             "queue_depth",
             "in_flight",
@@ -308,7 +304,7 @@ class TestProtocolErrors:
         # Error responses that short-circuit before reading the body (501,
         # 404, 405, oversized 400) must still leave the HTTP/1.1 connection
         # usable: an undrained body would be parsed as the next request.
-        server = ProbServer(db.engine, port=0, workers=1).start()  # no extender -> 501
+        server = ProbServer(db.engine, port=0).start()  # no extender -> 501
         connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
         try:
             probes = [
@@ -357,7 +353,7 @@ class TestProtocolErrors:
 
 class TestAdmissionControl:
     def test_zero_capacity_rejects_with_retry_after(self, db):
-        server = ProbServer(db.engine, port=0, workers=1, max_queue=0).start()
+        server = ProbServer(db.engine, port=0, max_queue=0).start()
         try:
             status, headers, payload = _raw_request(
                 server,
@@ -378,7 +374,7 @@ class TestAdmissionControl:
             server.stop()
 
     def test_flooded_queue_429s_without_5xx(self, db):
-        server = ProbServer(db.engine, port=0, workers=1, max_queue=2).start()
+        server = ProbServer(db.engine, port=0, max_queue=2).start()
         statuses: list[int] = []
         lock = threading.Lock()
         flood = 6
@@ -429,17 +425,29 @@ class TestAdmissionControl:
             server.stop()
 
     def test_coalescing_shares_one_future(self, db):
-        dispatcher = Dispatcher(db.engine, workers=1, max_queue=8)
+        # Two callers of one query while a writer holds the epoch lock: the
+        # second waits on the first's computation instead of repeating it.
+        dispatcher = Dispatcher(db.engine, max_queue=8)
+        query = QUERIES[2]
+        outcomes: list[tuple] = []
+
+        def call() -> None:
+            outcomes.append(dispatcher.execute(query))
+
         try:
-            query = QUERIES[2]
+            threads = [threading.Thread(target=call) for _ in range(2)]
             with dispatcher._rwlock.write_locked():
-                first = dispatcher.submit(query)
-                second = dispatcher.submit(query)
-                assert second is first
-                assert dispatcher.metrics.coalesced_total == 1
-            result, generation = first.result(timeout=30)
-            assert generation == 0
-            assert _answers_json(result) == _answers_json(db.query(query))
+                for thread in threads:
+                    thread.start()
+                while dispatcher.metrics.coalesced_total < 1:
+                    time.sleep(0.001)
+            for thread in threads:
+                thread.join()
+            (first, first_generation), (second, second_generation) = outcomes
+            assert second is first
+            assert first_generation == second_generation == 0
+            assert dispatcher.metrics.coalesced_total == 1
+            assert _answers_json(first) == _answers_json(db.query(query))
         finally:
             dispatcher.close()
 
@@ -448,9 +456,7 @@ class TestExtendWhileServing:
     def test_extend_is_consistent_and_bumps_generation(self):
         workload = build_mvdb(DblpConfig(group_count=3, seed=SEED), include_views=("V1", "V2"))
         db = repro.connect(workload.mvdb)
-        server = ProbServer(
-            db.engine, port=0, workers=2, max_queue=64, extender=_dblp_extender
-        ).start()
+        server = ProbServer(db.engine, port=0, max_queue=64, extender=_dblp_extender).start()
         stop = threading.Event()
         failures: list[str] = []
 
@@ -513,7 +519,7 @@ class TestExtendWhileServing:
             server.stop()
 
     def test_with_block_serves_a_warmed_dispatcher_then_stops(self, db):
-        with ProbServer(db.engine, port=0, workers=2) as server:
+        with ProbServer(db.engine, port=0) as server:
             server.dispatcher.warm()
             remote = repro.connect_remote(server.url)
             for query in QUERIES:
@@ -522,12 +528,12 @@ class TestExtendWhileServing:
             repro.connect_remote(server.url, timeout=2)
 
     def test_stop_before_start_does_not_hang(self, db):
-        server = ProbServer(db.engine, port=0, workers=1)
+        server = ProbServer(db.engine, port=0)
         server.stop()  # never started: must return, not block in shutdown()
         server.stop()  # and stay idempotent
 
     def test_extend_without_extender_is_501(self, db):
-        server = ProbServer(db.engine, port=0, workers=1).start()
+        server = ProbServer(db.engine, port=0).start()
         try:
             status, __, payload = _raw_request(
                 server,
@@ -557,7 +563,7 @@ class TestImportEndpoint:
 
     @pytest.fixture
     def follower(self):
-        server = ProbServer(self._engine(), port=0, workers=1).start()
+        server = ProbServer(self._engine(), port=0).start()
         yield server
         server.stop()
 
@@ -570,7 +576,7 @@ class TestImportEndpoint:
         return status, json.loads(payload)
 
     def test_a_sealed_append_applies_once(self, follower):
-        leader = Dispatcher(self._engine(), workers=1)
+        leader = Dispatcher(self._engine())
         try:
             __, __, artifact = leader.append_facts(self.FACTS)
         finally:
@@ -650,7 +656,7 @@ class TestSessionGenerationGuard:
         assert session.cache_info()["lineage_entries"] == 0
 
     def test_dispatcher_string_tier_shares_the_invalidation_path(self, db):
-        dispatcher = Dispatcher(db.engine, workers=1, max_queue=8)
+        dispatcher = Dispatcher(db.engine, max_queue=8)
         try:
             dispatcher.execute(QUERIES[0])
             assert dispatcher.cache_stats()["string"]["entries"] == 1
@@ -659,8 +665,7 @@ class TestSessionGenerationGuard:
             assert added == []  # same views: nothing new to compile
             assert generation == 1
             assert dispatcher.cache_stats()["string"]["entries"] == 0
-            for session in dispatcher.sessions:
-                assert session.generation == 1
+            assert dispatcher.session.generation == 1
         finally:
             dispatcher.close()
 
@@ -759,8 +764,6 @@ class TestServeCli:
                 "V1,V2",
                 "--port",
                 "0",
-                "--workers",
-                "2",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,

@@ -258,7 +258,7 @@ class TestSubscriptionAttribution:
         )
         mvdb.add_probabilistic_table("T", ["x"], [(("t0",), 1.5)])
         mvdb.add_markoview(MarkoView("V1", parse_query("V1(x) :- R(x), S(x, y)"), 2.0))
-        dispatcher = Dispatcher(MVQueryEngine(mvdb), workers=2)
+        dispatcher = Dispatcher(MVQueryEngine(mvdb))
         return dispatcher, SubscriptionService(dispatcher)
 
     def test_skips_attributed_to_decisive_summary(self):
@@ -305,7 +305,7 @@ class TestSubscriptionAttribution:
             subscription = service.registry.ordered()[0]
             assert subscription.sub_id == doc["id"]
             assert subscription.last_generation == before  # provably skipped
-            fresh = dispatcher.sessions[0].execute(as_ucq(parse_query("Q(x) :- T(x)")))
+            fresh = dispatcher.session.execute(as_ucq(parse_query("Q(x) :- T(x)")))
             expected = {answer.values: answer.probability for answer in fresh.answers}
             assert bits(subscription.answers) == bits(expected)
         finally:

@@ -75,7 +75,7 @@ def _fresh_engine(backend=None):
 
 
 def _service(backend=None, path=None):
-    dispatcher = Dispatcher(_fresh_engine(backend), workers=2)
+    dispatcher = Dispatcher(_fresh_engine(backend))
     return dispatcher, SubscriptionService(dispatcher, path=path)
 
 
@@ -544,7 +544,7 @@ def test_log_replay_regenerates_identical_notification_stream():
 
 
 def test_replay_subscription_entry_without_service_is_an_error():
-    dispatcher = Dispatcher(_fresh_engine(), workers=1)
+    dispatcher = Dispatcher(_fresh_engine())
     try:
         with pytest.raises(ServingError):
             replay_entry(dispatcher, None, {"kind": "subscribe", "subscription": {}})
@@ -558,7 +558,7 @@ def test_replay_subscription_entry_without_service_is_an_error():
 # ------------------------------------------------------------- HTTP surface
 @pytest.fixture(scope="module")
 def server():
-    server = ProbServer(_fresh_engine(), port=0, workers=2, max_queue=32).start()
+    server = ProbServer(_fresh_engine(), port=0, max_queue=32).start()
     yield server
     server.stop()
 
