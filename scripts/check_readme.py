@@ -45,7 +45,6 @@ PYDOC_MODULES = [
     "repro.serving.canonical",
     "repro.serving.dispatch",
     "repro.serving.fleet",
-    "repro.serving.loadgen",
     "repro.serving.router",
     "repro.serving.server",
     "repro.serving.session",

@@ -26,12 +26,10 @@ Two families of commands share the ``repro`` entry point:
 
 * **over-the-wire serving** (see ``docs/serving.md``): ``serve`` fronts an
   artifact (or an in-process build) with the JSON-HTTP server of
-  :mod:`repro.serving.server`, and ``loadtest`` drives a running server
-  with the zipf-skewed workload mix of :mod:`repro.serving.loadgen`::
+  :mod:`repro.serving.server`; ``subscribe`` and ``notify-listen`` register
+  standing queries on a running server and read their notifications::
 
       python -m repro serve dblp-index.json.gz --port 8080
-      python -m repro loadtest --duration 10 --concurrency 8
-      python -m repro ingest --duration 15 --append-interval 1 --extend-views V1,V2,V3
       python -m repro subscribe "Q(a) :- Advisor(x, a)" --threshold ">=0.5"
       python -m repro notify-listen --since 0
 
@@ -77,8 +75,6 @@ SERVING_COMMANDS = (
     "load-index",
     "serve-batch",
     "serve",
-    "loadtest",
-    "ingest",
     "subscribe",
     "notify-listen",
 )
@@ -280,78 +276,6 @@ def build_serving_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=None, help="session LRU capacity (default 1024)"
     )
     serve.add_argument("--verbose", action="store_true", help="log one line per request")
-
-    loadtest = commands.add_parser(
-        "loadtest",
-        help="drive a running 'repro serve' with the zipf-skewed DBLP workload mix",
-    )
-    loadtest.add_argument(
-        "--url", default="http://127.0.0.1:8080", help="base URL of the running server"
-    )
-    loadtest.add_argument(
-        "--mode", choices=("closed", "open"), default="closed", help="load loop discipline"
-    )
-    loadtest.add_argument("--duration", type=float, default=10.0, help="seconds to run")
-    loadtest.add_argument(
-        "--concurrency", type=int, default=8, help="closed-loop workers / open-loop outstanding cap"
-    )
-    loadtest.add_argument(
-        "--processes",
-        type=int,
-        default=1,
-        help="closed-loop load processes (fork; one GIL cannot saturate a fleet)",
-    )
-    loadtest.add_argument(
-        "--rate", type=float, default=50.0, help="open-loop arrival rate (requests/second)"
-    )
-    loadtest.add_argument(
-        "--entities", type=int, default=8, help="distinct query entities per template"
-    )
-    loadtest.add_argument(
-        "--zipf", type=float, default=1.1, help="zipf exponent of the entity popularity skew"
-    )
-    loadtest.add_argument("--method", default="mvindex", help="evaluation method")
-    loadtest.add_argument("--seed", type=int, default=0, help="workload sampling seed")
-    loadtest.add_argument(
-        "--json", action="store_true", help="print the load report as a JSON document"
-    )
-
-    ingest = commands.add_parser(
-        "ingest",
-        help="drive a running 'repro serve' with mixed queries, fact appends and one extend",
-    )
-    ingest.add_argument(
-        "--url", default="http://127.0.0.1:8080", help="base URL of the running server"
-    )
-    ingest.add_argument("--duration", type=float, default=15.0, help="seconds to run")
-    ingest.add_argument(
-        "--concurrency", type=int, default=4, help="closed-loop query workers"
-    )
-    ingest.add_argument(
-        "--append-interval", type=float, default=1.0, help="seconds between fact appends"
-    )
-    ingest.add_argument(
-        "--append-batch", type=int, default=4, help="new DBLP facts per append"
-    )
-    ingest.add_argument(
-        "--extend-views",
-        default=None,
-        help="comma-separated FULL view set of one mid-run /v1/extend (omit to skip)",
-    )
-    ingest.add_argument(
-        "--groups", type=int, default=8, help="groups of the served workload (for the extend spec)"
-    )
-    ingest.add_argument(
-        "--entities", type=int, default=8, help="distinct query entities per template"
-    )
-    ingest.add_argument(
-        "--zipf", type=float, default=1.1, help="zipf exponent of the entity popularity skew"
-    )
-    ingest.add_argument("--method", default="mvindex", help="evaluation method")
-    ingest.add_argument("--seed", type=int, default=0, help="workload sampling seed")
-    ingest.add_argument(
-        "--json", action="store_true", help="print the load report as a JSON document"
-    )
 
     subscribe = commands.add_parser(
         "subscribe",
@@ -621,69 +545,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - 'repro se
     return EXIT_OK
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.serving.loadgen import WorkloadMix, run_closed, run_open
-
-    mix = WorkloadMix(entities=args.entities, zipf_exponent=args.zipf)
-    if args.mode == "closed":
-        load_report = run_closed(
-            args.url,
-            duration_s=args.duration,
-            concurrency=args.concurrency,
-            mix=mix,
-            method=args.method,
-            seed=args.seed,
-            processes=args.processes,
-        )
-    else:
-        load_report = run_open(
-            args.url,
-            duration_s=args.duration,
-            rate=args.rate,
-            mix=mix,
-            method=args.method,
-            seed=args.seed,
-            max_outstanding=args.concurrency,
-        )
-    if args.json:
-        print(json.dumps(load_report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(load_report.render())
-    if not load_report.error_free:
-        print("loadtest saw server-side or transport errors", file=sys.stderr)
-        return EXIT_USER
-    return EXIT_OK
-
-
-def _cmd_ingest(args: argparse.Namespace) -> int:  # pragma: no cover - 'repro ingest' child process
-    from repro.serving.loadgen import WorkloadMix, run_ingest
-
-    mix = WorkloadMix(entities=args.entities, zipf_exponent=args.zipf)
-    extend_spec = None
-    if args.extend_views:
-        views = [name.strip() for name in args.extend_views.split(",") if name.strip()]
-        extend_spec = {"groups": args.groups, "seed": args.seed, "views": views}
-    load_report = run_ingest(
-        args.url,
-        duration_s=args.duration,
-        concurrency=args.concurrency,
-        mix=mix,
-        method=args.method,
-        seed=args.seed,
-        append_interval_s=args.append_interval,
-        append_batch=args.append_batch,
-        extend_spec=extend_spec,
-    )
-    if args.json:
-        print(json.dumps(load_report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(load_report.render())
-    if not load_report.error_free:
-        print("ingest saw server-side or transport errors", file=sys.stderr)
-        return EXIT_USER
-    return EXIT_OK
-
-
 def _cmd_subscribe(args: argparse.Namespace) -> int:
     from repro.client import connect_remote
     from repro.errors import ClientError
@@ -734,8 +595,6 @@ def _serving_main(argv: list[str]) -> int:
         "load-index": _cmd_load_index,
         "serve-batch": _cmd_serve_batch,
         "serve": _cmd_serve,
-        "loadtest": _cmd_loadtest,
-        "ingest": _cmd_ingest,
         "subscribe": _cmd_subscribe,
         "notify-listen": _cmd_notify_listen,
     }

@@ -24,8 +24,10 @@ the pluggable registry in :mod:`repro.methods`.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -251,6 +253,9 @@ class RemoteProbDB:
     """
 
     def __init__(self, url: str, timeout: float = 60.0) -> None:
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ServingError(f"connect_remote needs an http:// URL, got {url!r}")
         self._url = url.rstrip("/")
         self._timeout = timeout
         health = self.healthz()
@@ -263,20 +268,32 @@ class RemoteProbDB:
         """The server's base URL."""
         return self._url
 
-    def _request(self, path: str, payload: dict[str, Any] | None = None) -> Any:
-        request = urllib.request.Request(
-            self._url + path,
-            data=None if payload is None else json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="GET" if payload is None else "POST",
-        )
+    def _fetch(self, request: "urllib.request.Request") -> bytes:
+        """One HTTP exchange; every failure surfaces as a :class:`ReproError`.
+
+        Error statuses carry the server's typed error document; a refused
+        connection, a timeout, a peer that hangs up or speaks something
+        other than HTTP, and a truncated body are :class:`ServingError`.
+        """
         try:
             with urllib.request.urlopen(request, timeout=self._timeout) as response:
-                body = response.read()
+                return response.read()
         except urllib.error.HTTPError as exc:
             self._raise_wire_error(exc)
         except urllib.error.URLError as exc:
             raise ServingError(f"cannot reach {self._url}: {exc.reason}") from None
+        except (http.client.HTTPException, OSError) as exc:
+            raise ServingError(f"transport failure talking to {self._url}: {exc!r}") from None
+
+    def _request(self, path: str, payload: dict[str, Any] | None = None) -> Any:
+        body = self._fetch(
+            urllib.request.Request(
+                self._url + path,
+                data=None if payload is None else json.dumps(payload).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                method="GET" if payload is None else "POST",
+            )
+        )
         try:
             return json.loads(body)
         except json.JSONDecodeError as exc:
@@ -291,7 +308,10 @@ class RemoteProbDB:
             raise ServingError(f"HTTP {exc.code} from {self._url}") from None
         exception_class = _WIRE_ERRORS.get(error_type)
         if exception_class is _errors.AdmissionError:
-            retry_after = float(exc.headers.get("Retry-After", 1.0))
+            try:
+                retry_after = float(exc.headers.get("Retry-After", 1.0))
+            except ValueError:  # an HTTP-date or junk from a proxy: keep the type
+                retry_after = 1.0
             raise _errors.AdmissionError(message, retry_after=retry_after) from None
         if exception_class is not None:
             raise exception_class(message) from None
@@ -417,12 +437,7 @@ class RemoteProbDB:
 
     def metrics_text(self) -> str:
         """The server's Prometheus-style metrics exposition."""
-        request = urllib.request.Request(self._url + "/metrics")
-        try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.URLError as exc:
-            raise ServingError(f"cannot reach {self._url}: {exc}") from None
+        return self._fetch(urllib.request.Request(self._url + "/metrics")).decode("utf-8")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RemoteProbDB({self._url!r})"
@@ -434,6 +449,8 @@ def connect_remote(url: str, timeout: float = 60.0) -> RemoteProbDB:
     The mirror of :func:`repro.connect` for the network boundary: the same
     query surface, served over HTTP by a process started with
     ``python -m repro serve`` (or an embedded
-    :class:`repro.serving.server.ProbServer`).
+    :class:`repro.serving.server.ProbServer`).  A URL that is not
+    ``http://`` and a server that cannot be reached both raise
+    :class:`~repro.errors.ServingError`.
     """
     return RemoteProbDB(url, timeout=timeout)

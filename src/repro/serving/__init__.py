@@ -16,9 +16,7 @@ serving story:
   429), per-worker session affinity, coalescing of identical in-flight
   queries, a raw-text cache tier, and the serving metrics registry;
 * :mod:`repro.serving.server` — the stdlib-only JSON-over-HTTP server
-  (``python -m repro serve``; see ``docs/serving.md``);
-* :mod:`repro.serving.loadgen` — closed- and open-loop load generation
-  with a zipf-skewed DBLP workload mix (``python -m repro loadtest``).
+  (``python -m repro serve``; see ``docs/serving.md``).
 
 .. deprecated::
     Package-level re-exports from ``repro.serving`` (``QuerySession``,

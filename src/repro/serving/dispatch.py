@@ -374,11 +374,7 @@ class _ReadWriteLock:
 
 
 def percentile(ordered: Sequence[float], quantile: float) -> float:
-    """Nearest-rank percentile of an already-sorted sequence (0.0 if empty).
-
-    Shared by the dispatcher's metrics registry and the load generator's
-    report summaries.
-    """
+    """Nearest-rank percentile of an already-sorted sequence (0.0 if empty)."""
     if not ordered:
         return 0.0
     rank = min(len(ordered) - 1, max(0, math.ceil(quantile * len(ordered)) - 1))
@@ -386,11 +382,7 @@ def percentile(ordered: Sequence[float], quantile: float) -> float:
 
 
 def latency_summary(ordered_seconds: Sequence[float]) -> dict[str, float]:
-    """The standard latency document over an already-sorted seconds list.
-
-    One definition for both ``/v1/stats`` and the load generator's reports,
-    so the smoke test always compares like with like.
-    """
+    """The standard latency document (``/v1/stats``) over an already-sorted seconds list."""
     mean = sum(ordered_seconds) / len(ordered_seconds) if ordered_seconds else 0.0
     return {
         "count": len(ordered_seconds),

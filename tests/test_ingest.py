@@ -31,6 +31,7 @@ import threading
 import time
 
 import pytest
+from dblp_facts import dblp_ingest_facts
 
 import repro
 from bench.workloads import append_payload, subscription_specs
@@ -44,7 +45,6 @@ from repro.numerics import INCREMENTAL_REBUILD_ULPS, within_ulps
 from repro.query import evaluator
 from repro.serving.artifact import engine_state
 from repro.serving.dispatch import Dispatcher
-from repro.serving.loadgen import dblp_ingest_facts
 from repro.subscribe import SubscriptionService
 
 GROUPS = 3
@@ -116,7 +116,7 @@ class TestAppendDifferential:
         assert results["memory"] == results["sqlite"]
 
     def test_loadgen_ingest_facts_are_appendable(self):
-        # The ingest loadgen's fact batches must be valid engine input and
+        # The test-side ingest fact batches must be valid engine input and
         # disjoint across batch indices (no duplicate-row no-ops).
         db = repro.connect(build_mvdb(_config()).mvdb)
         first = dblp_ingest_facts(0, batch_size=3)

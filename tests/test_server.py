@@ -4,14 +4,16 @@ Covers the issue's serving contract: transport parity (the HTTP answers
 must be byte-identical to the in-process facade's), the batch endpoint,
 admission control (429 + Retry-After under a flooded queue), the health /
 stats / metrics schemas, extend-while-serving consistency (the shared
-generation-counter invalidation path), and structured 400s for malformed
-requests.
+generation-counter invalidation path), structured 400s for malformed
+requests, and the remote client's typed transport errors (raw socket peers
+that hang up, speak something other than HTTP or truncate their reply).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -19,12 +21,16 @@ import pytest
 
 import repro
 from repro.dblp.config import DblpConfig
-from repro.dblp.workload import build_mvdb
+from repro.dblp.workload import (
+    advisor_of_student,
+    affiliation_of_author,
+    build_mvdb,
+    students_of_advisor,
+)
 from repro.errors import AdmissionError, EvaluationError, InferenceError, ParseError, ServingError
 from repro.query.parser import parse_query, to_datalog
 from repro.results import QueryResult
 from repro.serving.dispatch import Dispatcher
-from repro.serving.loadgen import WorkloadMix, fetch_stats, run_closed
 from repro.serving.server import ProbServer
 from repro.serving.session import QuerySession
 
@@ -84,6 +90,47 @@ def _raw_request(server, method, path, body=None, headers=None):
         return response.status, dict(response.getheaders()), payload
     finally:
         connection.close()
+
+
+def _scripted_peer(*replies: bytes | None) -> tuple[str, threading.Thread]:
+    """A raw TCP peer on 127.0.0.1 that answers one HTTP request per connection.
+
+    Connection ``i`` reads a request, writes ``replies[i]`` and hangs up;
+    ``None`` hangs up without writing a byte.  Returns the peer's URL and
+    its thread, which ends after the last reply.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        with listener:
+            for reply in replies:
+                connection, __ = listener.accept()
+                with connection:
+                    request = b""
+                    while b"\r\n\r\n" not in request:
+                        request += connection.recv(4096)
+                    if reply is not None:
+                        connection.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return f"http://127.0.0.1:{listener.getsockname()[1]}", thread
+
+
+def _http_reply(status: str, document: dict, headers: str = "") -> bytes:
+    body = json.dumps(document).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\n{headers}"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+NOT_HTTP = b"SSH-2.0-OpenSSH_9.6\r\n"
+TRUNCATED = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n"
+    b'{"status": "o'
+)
 
 
 class TestTransportParity:
@@ -373,6 +420,24 @@ class TestAdmissionControl:
         finally:
             server.stop()
 
+    def test_unparsable_retry_after_still_raises_admission_error(self):
+        # A Retry-After that is not a number of seconds (an HTTP-date, say,
+        # from a proxy) keeps the 429 typed, with the default estimate.
+        rejected = {"error": {"type": "admission_error", "message": "queue full"}}
+        url, peer = _scripted_peer(
+            _http_reply("200 OK", {"status": "ok"}),
+            _http_reply(
+                "429 Too Many Requests",
+                rejected,
+                "Retry-After: Wed, 21 Oct 2015 07:28:00 GMT\r\n",
+            ),
+        )
+        with pytest.raises(AdmissionError, match="queue full") as excinfo:
+            repro.connect_remote(url).query(QUERIES[0])
+        assert excinfo.value.retry_after == 1.0
+        peer.join(timeout=30)
+        assert not peer.is_alive()
+
     def test_flooded_queue_429s_without_5xx(self, db):
         server = ProbServer(db.engine, port=0, max_queue=2).start()
         statuses: list[int] = []
@@ -418,7 +483,7 @@ class TestAdmissionControl:
                 thread.join(timeout=30)
             assert sorted(statuses).count(429) == flood - 2
             assert sorted(statuses).count(200) == 2
-            stats = fetch_stats(server.url)
+            stats = repro.connect_remote(server.url).stats()
             assert stats["admission"]["rejected_total"] == flood - 2
             assert stats["errors"]["total"] == 0
         finally:
@@ -459,19 +524,17 @@ class TestExtendWhileServing:
         server = ProbServer(db.engine, port=0, max_queue=64, extender=_dblp_extender).start()
         stop = threading.Event()
         failures: list[str] = []
+        rejected: list[AdmissionError] = []
 
         def reader() -> None:
-            connection = None
-            from repro.serving.loadgen import _Connection
-
-            connection = _Connection(server.url, timeout=30)
-            try:
-                while not stop.is_set():
-                    status, __ = connection.post_query(QUERIES[0], "mvindex")
-                    if status not in (200, 429):
-                        failures.append(f"reader saw HTTP {status}")
-            finally:
-                connection.close()
+            reader_remote = repro.connect_remote(server.url)
+            while not stop.is_set():
+                try:
+                    reader_remote.query(QUERIES[0])
+                except AdmissionError as exc:  # a 429 under load is allowed
+                    rejected.append(exc)
+                except Exception as exc:
+                    failures.append(f"reader saw {exc!r}")
 
         readers = [threading.Thread(target=reader) for __ in range(3)]
         try:
@@ -491,7 +554,7 @@ class TestExtendWhileServing:
             stop.set()
             for thread in readers:
                 thread.join(timeout=30)
-            assert not failures, failures
+            assert not failures, (failures, len(rejected))
             assert added >= 1
             assert remote.healthz()["generation"] == generation_before + 1
 
@@ -671,58 +734,82 @@ class TestSessionGenerationGuard:
 
 
 class TestLoadGenerator:
-    def test_workload_mix_population_and_skew(self):
-        mix = WorkloadMix(entities=4, zipf_exponent=1.0)
-        queries, weights = mix.population()
-        assert len(queries) == len(weights) == 4 * len(mix.mix)
-        # Within one template, popularity must decay with entity rank.
-        assert weights[0] > weights[1] > weights[2] > weights[3]
-        assert all("like" in query for query in queries)
+    """The remote-client contracts a load driver stands on (``bench/`` drives the load)."""
+
+    def test_workload_mix_population_and_skew(self, db, remote):
+        # The workload's three template builders, served over HTTP, answer
+        # exactly like the in-process facade.
+        for query in (
+            students_of_advisor("Advisor 1"),
+            advisor_of_student("Student 2-0"),
+            affiliation_of_author("Student 0-0"),
+        ):
+            served = remote.query(query)
+            assert len(served) > 0
+            assert _answers_json(served) == _answers_json(db.query(query))
 
     def test_unknown_template_rejected(self):
-        with pytest.raises(ServingError, match="unknown workload template"):
-            WorkloadMix(mix=(("nope", 1.0),)).population()
+        # A malformed URL is a user error raised before any I/O.
+        with pytest.raises(ServingError, match="http://"):
+            repro.connect_remote("not a url")
 
-    def test_closed_loop_round_trip(self, server):
-        report = run_closed(
-            server.url, duration_s=0.5, concurrency=2, mix=WorkloadMix(entities=2), seed=1
-        )
-        assert report.error_free
-        assert report.ok > 0
-        assert report.qps > 0
-        assert report.latency_ms["p95_ms"] >= report.latency_ms["p50_ms"]
-        parsed = json.loads(json.dumps(report.to_json()))
-        assert parsed["requests"] == report.requests
+    def test_closed_loop_round_trip(self, db, server):
+        # Two threads, each with its own client: every answer matches the
+        # in-process facade, and each query lands in the latency reservoir once.
+        queries = [QUERIES[index % 3] for index in range(6)]
+        expected = {query: _answers_json(db.query(query)) for query in queries}
+        count_before = repro.connect_remote(server.url).stats()["latency_ms"]["count"]
+        failures: list[str] = []
+
+        def worker() -> None:
+            own = repro.connect_remote(server.url)
+            for query in queries:
+                try:
+                    if _answers_json(own.query(query)) != expected[query]:
+                        failures.append(f"answers differ for {query!r}")
+                except Exception as exc:
+                    failures.append(f"{query!r} raised {exc!r}")
+
+        threads = [threading.Thread(target=worker) for __ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        count_after = repro.connect_remote(server.url).stats()["latency_ms"]["count"]
+        assert count_after == count_before + 2 * len(queries)
 
     def test_transport_errors_are_counted_not_raised(self):
-        report = run_closed(
-            "http://127.0.0.1:1", duration_s=0.2, concurrency=1, mix=WorkloadMix(entities=1)
-        )
-        assert report.transport_errors == report.requests > 0
-        assert not report.error_free
+        # A peer that hangs up without replying is a ServingError, not
+        # http.client's RemoteDisconnected.
+        url, peer = _scripted_peer(None)
+        with pytest.raises(ServingError, match="transport failure"):
+            repro.connect_remote(url)
+        peer.join(timeout=30)
+        assert not peer.is_alive()
 
     def test_bad_urls_fail_fast_instead_of_hanging(self):
-        # https:// (or any non-http scheme) must raise in the caller's
-        # thread — in run_open a raising worker used to leak its semaphore
-        # slot and deadlock the arrival loop.
-        from repro.serving.loadgen import run_open
-
-        with pytest.raises(ServingError, match="http://"):
-            run_closed("https://example.com", duration_s=0.2, concurrency=1)
-        with pytest.raises(ServingError, match="http://"):
-            run_open("https://example.com", duration_s=0.2, rate=10)
+        # Non-http schemes are refused before any I/O: a listener at the
+        # named port sees no connection attempt.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.setblocking(False)
+            port = listener.getsockname()[1]
+            for scheme in ("https", "ftp"):
+                with pytest.raises(ServingError, match="http://"):
+                    repro.connect_remote(f"{scheme}://127.0.0.1:{port}", timeout=5)
+                with pytest.raises(BlockingIOError):
+                    listener.accept()
 
     def test_open_loop_counts_dead_server_as_transport_errors(self):
-        from repro.serving.loadgen import run_open
-
-        report = run_open(
-            "http://127.0.0.1:1",
-            duration_s=0.3,
-            rate=20,
-            mix=WorkloadMix(entities=1),
-            max_outstanding=4,
-        )
-        assert report.transport_errors == report.requests > 0
+        # A peer that speaks something other than HTTP, or that cuts its
+        # body short, is a ServingError too.
+        for reply in (NOT_HTTP, TRUNCATED):
+            url, peer = _scripted_peer(reply)
+            with pytest.raises(ServingError, match="transport failure"):
+                repro.connect_remote(url)
+            peer.join(timeout=30)
+            assert not peer.is_alive()
 
 
 class TestQueryResultJsonRoundTrip:
@@ -746,8 +833,6 @@ class TestServeCli:
         import subprocess
         import sys
         from pathlib import Path
-
-        from repro.cli import main
 
         repo_src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ)
@@ -775,33 +860,25 @@ class TestServeCli:
             match = re.search(r"listening on (http://[\d.]+:\d+)", banner)
             assert match, f"no URL in serve output: {banner!r}"
             url = match.group(1)
-            code = main(
-                [
-                    "loadtest",
-                    "--url",
-                    url,
-                    "--duration",
-                    "1",
-                    "--concurrency",
-                    "2",
-                    "--entities",
-                    "2",
-                    "--json",
-                ]
+            local = repro.connect(
+                build_mvdb(DblpConfig(group_count=3, seed=SEED), include_views=("V1", "V2")).mvdb
             )
-            assert code == 0
             remote = repro.connect_remote(url)
-            assert remote.healthz()["status"] == "ok"
+            for query in QUERIES:
+                assert _answers_json(remote.query(query)) == _answers_json(local.query(query))
         finally:
             process.terminate()
             process.wait(timeout=10)
 
     def test_loadtest_against_dead_server_fails(self, capsys):
+        # A dead port and a non-HTTP peer are the user's to fix: exit 1 with
+        # a one-line 'error:', never exit 2 with 'internal error'.
         from repro.cli import main
 
-        code = main(
-            ["loadtest", "--url", "http://127.0.0.1:1", "--duration", "0.2",
-             "--concurrency", "1"]
-        )
-        assert code == 1
-        assert "errors" in capsys.readouterr().err
+        url, peer = _scripted_peer(NOT_HTTP)
+        for target in ("http://127.0.0.1:1", url):
+            code = main(["subscribe", "Q(a) :- Advisor(x, a)", "--url", target])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error:")
+        peer.join(timeout=30)
+        assert not peer.is_alive()

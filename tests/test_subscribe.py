@@ -15,8 +15,8 @@ over loopback, the notification
 log's cursor/long-poll contract, registry persistence and restart
 re-arming, log-replay determinism (the fleet's exactly-once foundation:
 replaying the same op log regenerates a byte-identical notification
-stream), the HTTP surface, and the loadgen's op tagging (subscription ops
-must never leak into the query-only latency headline).
+stream), the HTTP surface, and the query-only latency reservoir (append,
+subscription and notification requests must never enter it).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import threading
 import time
 
 import pytest
+from dblp_facts import dblp_ingest_facts
 from test_ingest import w_changing_append
 
 import repro
@@ -41,7 +42,6 @@ from repro.query.evaluator import evaluate_cq
 from repro.query.terms import is_variable
 from repro.serving.dispatch import Dispatcher
 from repro.serving.fleet import replay_entry
-from repro.serving.loadgen import _summarize, dblp_ingest_facts
 from repro.serving.server import ProbServer
 from repro.subscribe import (
     NotificationLog,
@@ -604,16 +604,17 @@ def test_http_notification_validation(remote):
         remote.subscribe("Q(x) :- Student(x, y)", predicate={"kind": "nope"})
 
 
-# ------------------------------------------------------------ loadgen tagging
+# ------------------------------------------------ query-only latency reservoir
 def test_load_report_headline_latency_stays_query_only():
-    samples = [
-        ("query", 200, 0.010, 2),
-        ("sub", 200, 5.000, 0),
-        ("notify", 200, 9.000, 0),
-        ("append", 200, 7.000, 0),
-    ]
-    report = _summarize("subscriptions", 1.0, 1, None, samples)
-    assert report.latency_ms["max_ms"] == pytest.approx(10.0)
-    assert set(report.ops) == {"query", "sub", "notify", "append"}
-    assert report.op_latency_ms["notify"]["max_ms"] == pytest.approx(9000.0)
-    assert report.op_latency_ms["sub"]["count"] == 1
+    server = ProbServer(_fresh_engine(), port=0, max_queue=32).start()
+    try:
+        remote = repro.connect_remote(server.url)
+        count_before = remote.stats()["latency_ms"]["count"]
+        for query in STANDING_QUERIES:
+            remote.query(query)
+        assert remote.append_facts(dblp_ingest_facts(0, batch_size=2, base_id=930000)) == 4
+        assert remote.subscribe(STANDING_QUERIES[0])["id"]
+        assert remote.notifications(since=0)["next"] >= 0
+        assert remote.stats()["latency_ms"]["count"] == count_before + len(STANDING_QUERIES)
+    finally:
+        server.stop()
