@@ -4,8 +4,8 @@ Extracts fenced ```python blocks from the given markdown files (default:
 ``README.md`` and ``docs/api.md``) and executes each one in a fresh
 subprocess with ``src`` on ``PYTHONPATH`` — and with
 ``DeprecationWarning`` promoted to an error, so a documented snippet can
-neither drift from the library's actual API nor quietly lean on the
-deprecated import surface.  A block that exits non-zero fails the check.
+neither drift from the library's actual API nor quietly lean on a
+deprecated one.  A block that exits non-zero fails the check.
 Shell blocks (```bash) are not executed.
 
 Also render-checks the docstring surface: ``python -m pydoc`` must be able

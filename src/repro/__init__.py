@@ -49,13 +49,13 @@ Building blocks (stable, importable directly)
   schema, probabilistic tables and MarkoViews of Fig. 1;
 * :mod:`repro.experiments` — runners that regenerate every figure of Sect. 5.
 
-Deprecated surfaces
--------------------
+One import path
+---------------
 
-Package-level imports from :mod:`repro.core` and :mod:`repro.serving`
-(e.g. ``from repro.core import MVQueryEngine``) still work but emit a
-:class:`DeprecationWarning`; see ``docs/api.md`` for the replacement of
-each name.
+:mod:`repro.core` and :mod:`repro.serving` re-export nothing but
+``repro.core.translate``: import from their submodules (e.g.
+``from repro.core.engine import MVQueryEngine``) or use the facade above;
+``docs/api.md`` lists where each formerly re-exported name lives.
 """
 
 from repro.client import ProbDB, RemoteProbDB, connect, connect_remote, open_artifact

@@ -10,14 +10,14 @@ Two families of commands share the ``repro`` entry point:
       python -m repro all --groups 12 --points 3 --out results/
 
 * **serving commands** exercise the offline/online split across processes:
-  compile the DBLP workload's MV-index once and save it (``save-index``, or
-  ``build-index --workers N`` for the process-pool sharded build), extend a
-  saved artifact with additional views without recompiling the untouched
-  components (``extend-index``), cold-start a :class:`repro.ProbDB` from
-  the artifact and answer a query (``load-index``), or serve a whole batch
-  with the cache-aware session (``serve-batch``)::
+  compile the DBLP workload's MV-index once and save it (``save-index``),
+  extend a saved artifact with additional views without recompiling the
+  untouched components (``extend-index``), cold-start a
+  :class:`repro.ProbDB` from the artifact and answer a query
+  (``load-index``), or serve a whole batch with the cache-aware session
+  (``serve-batch``)::
 
-      python -m repro build-index --groups 8 --workers 4 --out dblp-index.json.gz
+      python -m repro save-index --groups 8 --out dblp-index.json.gz
       python -m repro extend-index dblp-index.json.gz --groups 8 \\
           --views V1,V2,V3 --out dblp-extended.json.gz
       python -m repro load-index dblp-index.json.gz --json \\
@@ -70,7 +70,6 @@ from repro.experiments import (
 #: Sub-commands handled by the serving parser rather than the experiment one.
 SERVING_COMMANDS = (
     "save-index",
-    "build-index",
     "extend-index",
     "load-index",
     "serve-batch",
@@ -177,36 +176,27 @@ def build_serving_parser() -> argparse.ArgumentParser:
     parser.add_argument("-V", "--version", action="version", version=_version())
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, description in (
-        ("save-index", "build the DBLP workload, compile its MV-index, and save the artifact"),
-        ("build-index", "same as save-index; --workers N shards the build across processes"),
-    ):
-        save = commands.add_parser(name, help=description)
-        save.add_argument("--groups", type=int, default=8, help="synthetic DBLP research groups")
-        save.add_argument("--seed", type=int, default=0, help="generator seed")
-        save.add_argument(
-            "--views", default="V1,V2,V3", help="comma-separated MarkoViews to attach"
-        )
-        save.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="process-pool size for the sharded MV-index build (default: serial)",
-        )
-        save.add_argument(
-            "--backend",
-            default=None,
-            help="storage backend for the build: memory (default), sqlite, or sqlite:<path>",
-        )
-        save.add_argument(
-            "--out", required=True, help="artifact path (.json, or .json.gz for compression)"
-        )
+    save = commands.add_parser(
+        "save-index",
+        help="build the DBLP workload, compile its MV-index, and save the artifact",
+    )
+    save.add_argument("--groups", type=int, default=8, help="synthetic DBLP research groups")
+    save.add_argument("--seed", type=int, default=0, help="generator seed")
+    save.add_argument("--views", default="V1,V2,V3", help="comma-separated MarkoViews to attach")
+    save.add_argument(
+        "--backend",
+        default=None,
+        help="storage backend for the build: memory (default), sqlite, or sqlite:<path>",
+    )
+    save.add_argument(
+        "--out", required=True, help="artifact path (.json, or .json.gz for compression)"
+    )
 
     extend = commands.add_parser(
         "extend-index",
         help="extend a saved artifact with additional MarkoViews (incremental compile)",
     )
-    extend.add_argument("artifact", help="artifact written by save-index/build-index")
+    extend.add_argument("artifact", help="artifact written by save-index")
     extend.add_argument("--groups", type=int, default=8, help="groups used for the original build")
     extend.add_argument("--seed", type=int, default=0, help="seed used for the original build")
     extend.add_argument(
@@ -324,20 +314,17 @@ def _cmd_save_index(args: argparse.Namespace) -> int:
     from repro.experiments.harness import time_call
 
     views = tuple(name.strip() for name in args.views.split(",") if name.strip())
-    workers = getattr(args, "workers", None)
-    backend = getattr(args, "backend", None)
+    # The backend holds the MVDB; the translated INDB goes on a fresh sibling
+    # of it (repro.core.translate), so a sqlite:<path> file is opened once.
     workload = build_mvdb(
         DblpConfig(group_count=args.groups, seed=args.seed),
         include_views=views,
-        backend=backend,
+        backend=args.backend,
     )
-    build_seconds, db = time_call(
-        lambda: repro.connect(workload.mvdb, workers=workers, backend=backend)
-    )
+    build_seconds, db = time_call(lambda: repro.connect(workload.mvdb))
     path = db.save(args.out)
     index = db.engine.mv_index
-    label = "offline build" if workers is None else f"offline build ({workers} workers)"
-    print(f"{label}: {build_seconds:.3f}s")
+    print(f"offline build: {build_seconds:.3f}s")
     print(f"possible tuples: {db.engine.indb.tuple_count()}")
     print(f"W lineage: {db.engine.w_lineage_size} clauses")
     if index is not None:
@@ -590,7 +577,6 @@ def _serving_main(argv: list[str]) -> int:
     args = _parse_args(build_serving_parser(), argv)
     handlers = {
         "save-index": _cmd_save_index,
-        "build-index": _cmd_save_index,
         "extend-index": _cmd_extend_index,
         "load-index": _cmd_load_index,
         "serve-batch": _cmd_serve_batch,

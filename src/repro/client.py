@@ -178,7 +178,6 @@ def connect(
     build_index: bool = True,
     permutations: Mapping[str, Sequence[str]] | None = None,
     construction: str = "concat",
-    workers: int | None = None,
     backend: Any = None,
     cache_size: int = DEFAULT_CACHE_SIZE,
 ) -> ProbDB:
@@ -187,12 +186,11 @@ def connect(
     Exactly one source must be given:
 
     * ``mvdb`` — run the offline pipeline now (Theorem 1 translation,
-      lineage of ``W``, MV-index compilation; ``workers`` shards the
-      compile across a process pool);
+      lineage of ``W``, MV-index compilation);
     * ``artifact`` — cold-start from a file written by :meth:`ProbDB.save`
       without recompiling anything (``build_index`` / ``permutations`` /
-      ``construction`` / ``workers`` / ``backend`` do not apply and must be
-      left default).
+      ``construction`` / ``backend`` do not apply and must be left
+      default).
 
     ``backend`` selects the storage backend of the translated INDB the
     engine evaluates queries on: ``"memory"`` (default), ``"sqlite"`` (a
@@ -203,10 +201,10 @@ def connect(
     if (mvdb is None) == (artifact is None):
         raise ClientError("connect() needs exactly one of: an MVDB, or artifact=<path>")
     if artifact is not None:
-        if build_index is not True or permutations is not None or workers is not None \
+        if build_index is not True or permutations is not None \
                 or construction != "concat" or backend is not None:
             raise ClientError(
-                "build_index/permutations/construction/workers/backend only apply "
+                "build_index/permutations/construction/backend only apply "
                 "when building from an MVDB; the artifact already fixes them"
             )
         engine = load_engine(artifact)
@@ -216,7 +214,6 @@ def connect(
             build_index=build_index,
             permutations=permutations,
             construction=construction,
-            workers=workers,
             backend=backend,
         )
     return ProbDB(engine, cache_size=cache_size)

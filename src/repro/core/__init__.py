@@ -1,62 +1,15 @@
 """The paper's core contribution: MarkoViews, MVDBs, translation, query engine.
 
-.. deprecated::
-    Package-level re-exports from ``repro.core`` (``MVQueryEngine``,
-    ``MVDB``, ``MarkoView``, ``METHODS``, ...) are deprecated in favour of
-    the unified facade: construct engines through :func:`repro.connect`,
-    model with :class:`repro.MVDB` / :class:`repro.MarkoView`, and list
-    evaluation methods with :func:`repro.methods.names`.  The submodules
-    themselves (:mod:`repro.core.engine`, :mod:`repro.core.mvdb`,
-    :mod:`repro.core.markoview`, :mod:`repro.core.translate`) remain
-    importable without a warning.
+Everything lives in the submodules — :mod:`repro.core.engine`,
+:mod:`repro.core.mvdb`, :mod:`repro.core.markoview`,
+:mod:`repro.core.translate` and :mod:`repro.core.pending`; client code
+reaches the same objects through the facade (:func:`repro.connect`,
+:class:`repro.MVDB`, :class:`repro.MarkoView`).
 """
 
-from __future__ import annotations
+# ``translate`` (the function) shadows the submodule of the same name on
+# this package; importing it here, while the submodule loads, keeps
+# ``from repro.core import translate`` returning the function.
+from repro.core.translate import translate
 
-import importlib
-import warnings
-
-#: Deprecated package-level names: source module and blessed replacement.
-_DEPRECATED = {
-    "METHODS": ("repro.core.engine", "repro.methods.names()"),
-    "MVQueryEngine": ("repro.core.engine", "repro.connect()"),
-    "MVDB": ("repro.core.mvdb", "repro.MVDB"),
-    "MarkoView": ("repro.core.markoview", "repro.MarkoView"),
-    "Translation": ("repro.core.translate", "repro.core.translate.Translation"),
-    "ViewTranslation": ("repro.core.translate", "repro.core.translate.ViewTranslation"),
-    "answer_tuple_to_boolean": (
-        "repro.core.translate",
-        "repro.core.translate.answer_tuple_to_boolean",
-    ),
-    "clamp_probability": ("repro.core.translate", "repro.core.translate.clamp_probability"),
-    "theorem1_probability": (
-        "repro.core.translate",
-        "repro.core.translate.theorem1_probability",
-    ),
-}
-
-# ``translate`` (the function) has always shadowed the submodule of the same
-# name on this package, and the import system would re-bind the attribute to
-# the submodule behind a lazy shim's back — so this one name stays an eager,
-# warning-free re-export.
-from repro.core.translate import translate  # noqa: E402,F401
-
-__all__ = sorted([*_DEPRECATED, "translate"])
-
-
-def __getattr__(name: str):
-    try:
-        module_name, replacement = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.core' has no attribute {name!r}") from None
-    warnings.warn(
-        f"importing {name!r} from 'repro.core' is deprecated; "
-        f"use {replacement} (see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED))
+__all__ = ["translate"]

@@ -51,12 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.markoview import MarkoView
     from repro.methods import InferenceMethod
 
-#: The paper's four exact evaluation methods.  Deprecated: the authoritative
-#: list (which includes registered third-party methods) is
-#: :func:`repro.methods.names`.
-METHODS = ("mvindex", "mvindex-mv", "obdd", "enumeration")
-
-
 class _UnionTable:
     """A live table followed by its appended (disjoint) Δ rows, read-only."""
 
@@ -143,7 +137,6 @@ class MVQueryEngine:
         build_index: bool = True,
         permutations: Mapping[str, Sequence[str]] | None = None,
         construction: str = "concat",
-        workers: int | None = None,
         backend: Any = None,
     ) -> None:
         self.mvdb: MVDB | None = mvdb
@@ -166,11 +159,7 @@ class MVQueryEngine:
         self.mv_index: MVIndex | None = None
         if build_index and not self.w_lineage.is_false:
             self.mv_index = MVIndex(
-                self.w_lineage,
-                self.probabilities,
-                self.order,
-                construction=construction,
-                workers=workers,
+                self.w_lineage, self.probabilities, self.order, construction=construction
             )
 
         #: Per-component skip summaries (:mod:`repro.mvindex.summaries`),

@@ -2,7 +2,7 @@
 
 :func:`build_mvdb` puts together the deterministic tables (generator), the
 probabilistic tables (weights of Fig. 1's middle block) and the MarkoViews
-V1–V3, producing the :class:`~repro.core.MVDB` on which every experiment of
+V1–V3, producing the :class:`~repro.core.mvdb.MVDB` on which every experiment of
 Sect. 5 runs.  The query builders mirror the paper's workload: *find the
 students of advisor X*, *find the advisor of student Y*, and *find the
 affiliation of author Z* (plus the running-example "Madden" query).
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.mvdb import MVDB
+from repro.db.backend import resolve_backend
 from repro.dblp.config import DblpConfig
 from repro.errors import SchemaError
 from repro.dblp.generator import DblpData, generate_dblp, restrict_to_aid
@@ -63,9 +64,11 @@ def build_mvdb(
         Whether to materialise the Affiliation probabilistic table (not needed
         when V3 is excluded; skipping it speeds up sweeps).
     backend:
-        Storage backend spec for the MVDB (and, when ``data`` is not
-        supplied, for the generated deterministic dataset too) —
-        ``"memory"`` (default), ``"sqlite"`` or ``"sqlite:<path>"``.
+        Storage backend spec for the MVDB — ``"memory"`` (default),
+        ``"sqlite"`` or ``"sqlite:<path>"``.  The spec is resolved once;
+        when ``data`` is not supplied, the generated deterministic dataset
+        goes on a fresh sibling of that backend (so a ``sqlite:<path>``
+        file holds the MVDB alone).
     """
     unknown = sorted(set(include_views) - {"V1", "V2", "V3"})
     if unknown:
@@ -73,10 +76,11 @@ def build_mvdb(
         # intended correlations and make every probability quietly wrong.
         raise SchemaError(f"unknown MarkoView name(s) {unknown}; choose from V1, V2, V3")
     config = config or DblpConfig()
-    data = data or generate_dblp(config, backend=backend)
+    storage = resolve_backend(backend)
+    data = data or generate_dblp(config, backend=storage.spawn())
     tables = build_probabilistic_tables(data)
 
-    mvdb = MVDB(backend=backend)
+    mvdb = MVDB(backend=storage)
     for table in data.database:
         mvdb.add_deterministic_table(table.name, table.schema.attribute_names, table.scan())
     mvdb.add_deterministic_table("RecentCoPub", ["aid1", "aid2"], recent_copub_rows(tables, config))

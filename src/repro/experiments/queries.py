@@ -132,11 +132,6 @@ def fig11_affiliation_of_author(
 
 
 # ---------------------------------------------------------------- §5.4 scale
-#: Above this many W clauses the 2-worker rebuild is skipped (recorded 0.0):
-#: at the large sweep points it would only double an already-long build.
-PARALLEL_REBUILD_CLAUSE_LIMIT = 20_000
-
-
 def scalability_index_build(
     settings: FullDatasetSettings | None = None,
     workload: DblpWorkload | None = None,
@@ -166,7 +161,6 @@ def scalability_index_build(
             "translate_and_lineage_s",
             "index_build_s",
             "index_build_serial_s",
-            "index_build_workers2_s",
         ],
     )
 
@@ -195,17 +189,6 @@ def scalability_index_build(
             if not engine.w_lineage.is_false
             else None
         )
-        if index is not None and engine.w_lineage_size <= PARALLEL_REBUILD_CLAUSE_LIMIT:
-            # 2-worker sharded compile on the same basis (lineage and order in
-            # hand); includes pool startup and shard-merge overhead — what a
-            # cold offline build pays.
-            parallel_seconds, __ = time_call(
-                lambda: MVIndex(
-                    engine.w_lineage, engine.probabilities, engine.order, workers=2
-                )
-            )
-        else:
-            parallel_seconds = 0.0
         result.add_row(
             tuples=load.mvdb.database.total_rows(),
             groups=load.config.group_count,
@@ -217,7 +200,6 @@ def scalability_index_build(
             translate_and_lineage_s=build_seconds,
             index_build_s=build_seconds + serial_seconds,
             index_build_serial_s=serial_seconds,
-            index_build_workers2_s=parallel_seconds,
         )
     return result
 

@@ -12,16 +12,6 @@ Each component OBDD stores ``¬W_k`` (the negation is what Theorem 1's
 evaluation needs), and the index pre-computes ``P0(¬W_k)`` for every
 component so that queries only pay for the components their lineage touches.
 
-Construction scales out: because the components are variable-disjoint by
-definition, they can be compiled in parallel.  ``MVIndex(..., workers=N)``
-shards the component list across a process pool; every worker compiles its
-shard in a fresh manager, exports the stable children-first node tables
-(:meth:`repro.obdd.manager.ObddManager.export_nodes`), and the parent
-replays the shards — in deterministic component order — into the shared
-manager via :meth:`repro.obdd.manager.ObddManager.import_into`.  Since the
-serialized artifact re-exports canonically from the component roots, a
-parallel build produces a byte-identical artifact to the serial one.
-
 An existing index can also grow incrementally, and the growth is split
 into two halves so serving reads never wait on a compile:
 :meth:`MVIndex.prepare_extend` compiles the new clauses (plus any affected
@@ -38,14 +28,13 @@ workflow).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import CompilationError
 from repro.lineage.dnf import DNF, Clause
 from repro.obdd.construct import build_component_root
-from repro.obdd.manager import ONE, ObddManager
+from repro.obdd.manager import ObddManager
 from repro.obdd.order import VariableOrder, connected_components
 from repro.mvindex.augmented import AugmentedObdd
 
@@ -66,25 +55,6 @@ class IndexedComponent:
         return self.obdd.probability
 
 
-def _compile_shard(  # pragma: no cover - runs in a worker process of the sharded build
-    clause_lists: Sequence[Sequence[Clause]],
-    order_variables: Sequence[int],
-    construction: str,
-) -> dict[str, list]:
-    """Process-pool worker: compile a shard of components in a fresh manager.
-
-    Returns the stable children-first export of the *negated* component
-    roots, in shard order; the parent replays it into the shared manager.
-    """
-    order = VariableOrder(order_variables)
-    manager = ObddManager()
-    roots = [
-        manager.negate(build_component_root(manager, clauses, order, construction))
-        for clauses in clause_lists
-    ]
-    return manager.export_nodes(roots)
-
-
 class MVIndex:
     """Offline-compiled index over the MarkoView query ``W``."""
 
@@ -94,7 +64,6 @@ class MVIndex:
         probabilities: Mapping[int, float],
         order: VariableOrder,
         construction: str = "concat",
-        workers: int | None = None,
     ) -> None:
         self.order = order
         self.manager = ObddManager()
@@ -111,68 +80,24 @@ class MVIndex:
         #: Serializes the only query-time mutation of the shared manager (the
         #: interleaved-component fallback), making concurrent reads safe.
         self._lock = threading.RLock()
-        self._build(w_lineage, construction, workers)
+        self._build(w_lineage, construction)
 
     # ------------------------------------------------------------------ build
-    def _build(self, w_lineage: DNF, construction: str, workers: int | None) -> None:
+    def _build(self, w_lineage: DNF, construction: str) -> None:
         if w_lineage.is_true:
             raise CompilationError(
                 "the view query W is certainly true: every possible world violates a "
                 "MarkoView, so the MVDB distribution is undefined (P0(¬W) = 0)"
             )
         components = connected_components(w_lineage.clauses)
-        if workers is not None and workers > 1 and len(components) > 1:
-            negated_roots = self._compile_components_parallel(
-                components, construction, workers
-            )
-        else:
-            manager = self.manager
-            order = self.order
-            negated_roots = [
-                manager.negate(build_component_root(manager, clauses, order, construction))
-                for clauses in components
-            ]
+        manager = self.manager
+        order = self.order
+        negated_roots = [
+            manager.negate(build_component_root(manager, clauses, order, construction))
+            for clauses in components
+        ]
         for key, (clauses, negated_root) in enumerate(zip(components, negated_roots)):
             self._register(key, frozenset().union(*clauses), negated_root)
-
-    def _compile_components_parallel(
-        self,
-        components: list[list[Clause]],
-        construction: str,
-        workers: int,
-    ) -> list[int]:
-        """Sharded build: compile component shards in a process pool.
-
-        Components are dealt round-robin across ``min(workers, len)`` shards
-        for balance; the shard exports are replayed into the shared manager
-        in shard order, and the resulting roots are re-assembled into the
-        original component order, so the registered index is exactly the one
-        a serial build produces (up to internal node ids, which the
-        canonical artifact export normalizes away).
-        """
-        shard_count = min(workers, len(components))
-        shard_indices = [
-            list(range(start, len(components), shard_count))
-            for start in range(shard_count)
-        ]
-        order_variables = self.order.variables()
-        negated_roots: list[int] = [ONE] * len(components)
-        with ProcessPoolExecutor(max_workers=shard_count) as pool:
-            futures = [
-                pool.submit(
-                    _compile_shard,
-                    [components[index] for index in indices],
-                    order_variables,
-                    construction,
-                )
-                for indices in shard_indices
-            ]
-            for indices, future in zip(shard_indices, futures):
-                exported = future.result()
-                roots = self.manager.import_into(exported["nodes"], exported["roots"])
-                for index, root in zip(indices, roots):
-                    negated_roots[index] = root
-        return negated_roots
 
     def _register(self, key: int, variables: Iterable[int], negated_root: int) -> None:
         """Wrap a compiled (negated) component root and wire the lookup maps."""

@@ -862,9 +862,11 @@ class ObddManager:
         Unlike :meth:`import_nodes` the target manager may already hold
         nodes, so the replay maps exported ids to whatever ids this manager
         assigns (reusing structurally identical nodes).  Returns the mapped
-        ``roots``.  This is the merge step of the sharded parallel MV-index
-        build: every worker exports its shard from a fresh manager and the
-        parent replays the shards, in order, into the shared manager.
+        ``roots``.  This is the merge step of an incremental MV-index
+        extension: :meth:`repro.mvindex.index.MVIndex.prepare_extend`
+        compiles the delta in a fresh manager and exports it, and
+        :meth:`~repro.mvindex.index.MVIndex.apply_prepared` replays it into
+        the shared one.
         """
         mapping: list[int] = [ZERO, ONE]
         for level, low, high in nodes:

@@ -398,8 +398,9 @@ class MetricsRegistry:
     """Thread-safe serving metrics: counters, latency reservoir, qps window.
 
     All latencies are recorded in seconds and reported in milliseconds.
-    Counters are monotonic for the life of the process — the CI load smoke
-    polls ``/v1/stats`` and fails if any of them ever decreases.
+    Counters are monotonic for the life of the process, so a client
+    polling ``/v1/stats`` never sees one decrease (a fleet folds a dead
+    replica's counters into its retired baseline to keep that true).
     """
 
     def __init__(self) -> None:

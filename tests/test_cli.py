@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.dblp.workload import advisor_of_student, affiliation_of_author, students_of_advisor
 
 
 class TestCli:
@@ -83,23 +84,39 @@ class TestServingCli:
         assert "1 relational pass(es)" in output
 
     def test_build_index_workers_byte_identical(self, capsys, tmp_path):
-        serial = tmp_path / "serial.json.gz"
-        parallel = tmp_path / "parallel.json.gz"
-        assert main(["build-index", "--groups", "4", "--out", str(serial)]) == 0
-        assert (
-            main(
-                ["build-index", "--groups", "4", "--workers", "2", "--out", str(parallel)]
-            )
-            == 0
-        )
-        assert "2 workers" in capsys.readouterr().out
-        assert parallel.read_bytes() == serial.read_bytes()
+        # One build path: two save-index runs write byte-identical artifacts,
+        # and the retired build-index alias is refused as a user error.
+        first = tmp_path / "first.json.gz"
+        second = tmp_path / "second.json.gz"
+        assert main(["save-index", "--groups", "4", "--out", str(first)]) == 0
+        assert main(["save-index", "--groups", "4", "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+        capsys.readouterr()
+        assert main(["build-index", "--groups", "4", "--out", str(tmp_path / "x.json")]) == 1
+        assert "unknown experiment" in capsys.readouterr().err
+
+    def test_save_index_on_sqlite_path_answers_like_memory(self, capsys, tmp_path):
+        memory = tmp_path / "memory.json.gz"
+        on_disk = tmp_path / "sqlite.json.gz"
+        common = ["save-index", "--groups", "3", "--seed", "1"]
+        assert main([*common, "--out", str(memory)]) == 0
+        backend = f"sqlite:{tmp_path / 'x.db'}"
+        assert main([*common, "--backend", backend, "--out", str(on_disk)]) == 0
+        capsys.readouterr()
+        expected, actual = repro.open(memory), repro.open(on_disk)
+        for query in (
+            students_of_advisor("Advisor 0"),
+            advisor_of_student("Student 1-0"),
+            affiliation_of_author("Student 2-0"),
+        ):
+            answers = actual.query(query).to_json()["answers"]
+            assert answers == expected.query(query).to_json()["answers"]
 
     def test_extend_index_round_trip(self, capsys, tmp_path):
         partial = tmp_path / "partial.json.gz"
         extended = tmp_path / "extended.json.gz"
         assert (
-            main(["build-index", "--groups", "4", "--views", "V1,V2", "--out", str(partial)])
+            main(["save-index", "--groups", "4", "--views", "V1,V2", "--out", str(partial)])
             == 0
         )
         assert (
@@ -136,7 +153,7 @@ class TestServingCli:
     def test_extend_index_rejects_mismatched_base(self, capsys, tmp_path):
         partial = tmp_path / "partial.json.gz"
         assert (
-            main(["build-index", "--groups", "4", "--views", "V1,V2", "--out", str(partial)])
+            main(["save-index", "--groups", "4", "--views", "V1,V2", "--out", str(partial)])
             == 0
         )
         capsys.readouterr()

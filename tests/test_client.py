@@ -1,5 +1,5 @@
 """Tests for the unified client facade, typed results, the inference-method
-registry, and the deprecation shims over the old import surface."""
+registry, and the one import path of the names the packages once re-exported."""
 
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ class TestConnect:
     def test_connect_rejects_build_options_with_artifact(self, db, tmp_path):
         path = db.save(tmp_path / "a.json.gz")
         with pytest.raises(ClientError, match="only apply"):
-            repro.connect(artifact=path, workers=2)
+            repro.connect(artifact=path, permutations={"Student": ["aid", "year"]})
 
     def test_connect_accepts_datalog_strings(self):
         client = repro.connect(example1_mvdb())
@@ -324,52 +324,55 @@ class TestMethodRegistry:
             assert name in text
 
 
-#: Every pre-existing public package-level import must keep working.
-_CORE_NAMES = [
-    "METHODS",
-    "MVQueryEngine",
-    "MVDB",
-    "MarkoView",
-    "Translation",
-    "ViewTranslation",
-    "answer_tuple_to_boolean",
-    "clamp_probability",
-    "theorem1_probability",
-]
-_SERVING_NAMES = [
-    "ARTIFACT_FORMAT",
-    "ARTIFACT_VERSION",
-    "DEFAULT_CACHE_SIZE",
-    "PreparedQuery",
-    "QuerySession",
-    "SessionStatistics",
-    "canonical_cq_key",
-    "canonical_key",
-    "engine_from_state",
-    "engine_state",
-    "load_engine",
-    "save_engine",
-]
+#: Names ``repro.core`` and ``repro.serving`` once re-exported, with the
+#: module each lives in.  The packages re-export none of them (only
+#: ``repro.core.translate``, the function); one import path per name.
+_CORE_NAMES = {
+    "METHODS": "repro.methods",
+    "MVQueryEngine": "repro.core.engine",
+    "MVDB": "repro.core.mvdb",
+    "MarkoView": "repro.core.markoview",
+    "Translation": "repro.core.translate",
+    "ViewTranslation": "repro.core.translate",
+    "answer_tuple_to_boolean": "repro.core.translate",
+    "clamp_probability": "repro.core.translate",
+    "theorem1_probability": "repro.core.translate",
+}
+_SERVING_NAMES = {
+    "ARTIFACT_FORMAT": "repro.serving.artifact",
+    "ARTIFACT_VERSION": "repro.serving.artifact",
+    "DEFAULT_CACHE_SIZE": "repro.serving.session",
+    "PreparedQuery": "repro.serving.session",
+    "QuerySession": "repro.serving.session",
+    "SessionStatistics": "repro.serving.session",
+    "canonical_cq_key": "repro.serving.canonical",
+    "canonical_key": "repro.serving.canonical",
+    "engine_from_state": "repro.serving.artifact",
+    "engine_state": "repro.serving.artifact",
+    "load_engine": "repro.serving.artifact",
+    "save_engine": "repro.serving.artifact",
+}
+#: The stale ``METHODS`` tuple is gone; the registry lists the methods.
+_RENAMED = {"METHODS": "names"}
+
+
+def _assert_moved(package: str, table: dict[str, str], name: str) -> None:
+    """``name`` resolves from its module without a warning, not from ``package``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hasattr(importlib.import_module(table[name]), _RENAMED.get(name, name))
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(package), name)
 
 
 class TestDeprecationShims:
     @pytest.mark.parametrize("name", _CORE_NAMES)
     def test_core_names_warn_but_work(self, name):
-        package = importlib.import_module("repro.core")
-        source_module, __ = package._DEPRECATED[name]
-        with pytest.warns(DeprecationWarning, match=f"importing {name!r} from 'repro.core'"):
-            obj = getattr(package, name)
-        assert obj is getattr(importlib.import_module(source_module), name)
+        _assert_moved("repro.core", _CORE_NAMES, name)
 
     @pytest.mark.parametrize("name", _SERVING_NAMES)
     def test_serving_names_warn_but_work(self, name):
-        package = importlib.import_module("repro.serving")
-        source_module, __ = package._DEPRECATED[name]
-        with pytest.warns(
-            DeprecationWarning, match=f"importing {name!r} from 'repro.serving'"
-        ):
-            obj = getattr(package, name)
-        assert obj is getattr(importlib.import_module(source_module), name)
+        _assert_moved("repro.serving", _SERVING_NAMES, name)
 
     def test_core_translate_function_still_shadows_submodule(self):
         # `from repro.core import translate` has always returned the function.
@@ -381,7 +384,11 @@ class TestDeprecationShims:
     @pytest.mark.parametrize("package", ["repro.core", "repro.serving"])
     def test_dir_lists_the_deprecated_names(self, package):
         module = importlib.import_module(package)
-        assert set(module._DEPRECATED) <= set(dir(module))
+        assert "__getattr__" not in vars(module)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in dir(module):
+                getattr(module, name)
 
     def test_unknown_attributes_still_raise(self):
         package = importlib.import_module("repro.core")
@@ -390,15 +397,14 @@ class TestDeprecationShims:
 
     def test_deprecated_engine_still_functional(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.core import MVQueryEngine as LegacyEngine
-            from repro.serving import QuerySession as LegacySession
+            warnings.simplefilter("error")
+            from repro.core.engine import MVQueryEngine as Engine
+            from repro.serving.session import QuerySession
 
-        engine = LegacyEngine(example1_mvdb())
-        session = LegacySession(engine)
-        legacy = session.execute(repro.parse_query("Q :- R(x), S(x)")).to_dict()
+            session = QuerySession(Engine(example1_mvdb()))
+            direct = session.execute(repro.parse_query("Q :- R(x), S(x)")).to_dict()
         facade = repro.connect(example1_mvdb()).query("Q :- R(x), S(x)")
-        assert legacy == facade.to_dict()
+        assert direct == facade.to_dict()
 
     def test_top_level_legacy_exports_unchanged(self):
         # The original repro/__init__ surface, silently re-exported.

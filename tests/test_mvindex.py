@@ -201,6 +201,10 @@ class TestIntersection:
 
 
 class TestParallelBuild:
+    """One build path: the serial compile is deterministic, and the node
+    blocks an extension imports (``ObddManager.import_into``) answer exactly
+    like a from-scratch build."""
+
     def _w(self, pairs: int = 24) -> tuple[DNF, dict[int, float]]:
         clauses = [[2 * i, 2 * i + 1] for i in range(pairs)]
         clauses += [[4 * i, 4 * i + 2] for i in range(pairs // 2)]
@@ -211,29 +215,39 @@ class TestParallelBuild:
     def test_sharded_build_exports_identical_state(self):
         w, probabilities = self._w()
         order = natural_order(sorted(w.variables()))
-        serial = MVIndex(w, probabilities, order)
-        sharded = MVIndex(w, probabilities, order, workers=3)
-        assert sharded.export_state() == serial.export_state()
-        assert sharded.component_count() == serial.component_count()
-        assert sharded.probability_w() == serial.probability_w()
+        first = MVIndex(w, probabilities, order)
+        second = MVIndex(w, probabilities, order)
+        assert first.export_state() == second.export_state()
+        assert first.component_count() == second.component_count()
+        assert first.probability_w() == second.probability_w()
 
     def test_sharded_build_answers_identically(self):
         w, probabilities = self._w()
-        order = natural_order(sorted(w.variables()))
-        serial = MVIndex(w, probabilities, order)
-        sharded = MVIndex(w, probabilities, order, workers=2)
-        query = DNF([[0, 4], [9]])
-        assert mv_intersect(sharded, query, probabilities) == mv_intersect(
-            serial, query, probabilities
+        offset = max(w.variables()) + 1
+        disjoint = DNF([[offset + v for v in clause] for clause in w.clauses])
+        new_probabilities = {offset + v: p for v, p in probabilities.items()}
+        merged_probabilities = {**probabilities, **new_probabilities}
+        extended = MVIndex(w, probabilities, natural_order(sorted(w.variables())))
+        added = extended.extend(disjoint, probabilities=new_probabilities)
+        assert added
+        fresh = MVIndex(
+            w.or_(disjoint), merged_probabilities, natural_order(range(2 * offset))
         )
-        assert cc_mv_intersect(sharded, query, probabilities) == cc_mv_intersect(
-            serial, query, probabilities
+        assert extended.component_count() == fresh.component_count()
+        assert extended.probability_w() == fresh.probability_w()
+        # The query touches components of the original build and of the delta.
+        query = DNF([[0, 4], [9], [offset, offset + 4], [offset + 9]])
+        assert mv_intersect(extended, query, merged_probabilities) == mv_intersect(
+            fresh, query, merged_probabilities
+        )
+        assert cc_mv_intersect(extended, query, merged_probabilities) == cc_mv_intersect(
+            fresh, query, merged_probabilities
         )
 
     def test_single_component_falls_back_to_serial(self):
         w = DNF([[0, 1], [1, 2]])
         probabilities = {0: 0.5, 1: 0.4, 2: 0.3}
-        index = MVIndex(w, probabilities, natural_order(range(3)), workers=4)
+        index = MVIndex(w, probabilities, natural_order(range(3)))
         assert index.component_count() == 1
         assert index.probability_w() == pytest.approx(
             brute_force_probability(w, probabilities)
