@@ -9,7 +9,9 @@ deprecated one.  A block that exits non-zero fails the check.
 Shell blocks (```bash) are not executed.
 
 Also render-checks the docstring surface: ``python -m pydoc`` must be able
-to render every module listed in ``PYDOC_MODULES`` without error.  And every
+to render every module listed in ``PYDOC_MODULES`` without error, and every
+``:mod:`repro…``` reference in what it renders must name a module that
+imports, so a deleted module cannot linger in a docstring.  And every
 symbol reference of the form `` `src/….py` (`symbol`) `` must name a ``def``
 or ``class`` that file contains (dotted names: every part), so a rename or
 a move cannot leave the docs pointing at nothing.  And the endpoint table
@@ -23,6 +25,7 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -63,6 +66,7 @@ ENDPOINT_DOC = REPO_ROOT / "docs" / "serving.md"
 _BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _SYMBOL_RE = re.compile(r"`(src/[\w/]+\.py)`\s+\(`([\w.]+)`")
 _ENDPOINT_RE = re.compile(r"^\| `(/[^`]*)` \| ([A-Z]+) \|", re.MULTILINE)
+_MODULE_REF_RE = re.compile(r":mod:`~?(repro[\w.]*)`")
 
 
 def python_blocks(markdown: str) -> list[str]:
@@ -104,7 +108,22 @@ def check_pydoc(env: dict[str, str]) -> bool:
         rendered = completed.returncode == 0 and module.rsplit(".", 1)[-1] in completed.stdout
         print(f"{'ok  ' if rendered else 'FAIL'} pydoc {module}")
         ok = ok and rendered
+        for reference in sorted(set(_MODULE_REF_RE.findall(completed.stdout))):
+            if not module_imports(reference):
+                print(f"FAIL pydoc {module}: :mod:`{reference}` does not import")
+                ok = False
     return ok
+
+
+def module_imports(name: str) -> bool:
+    """Whether ``name`` imports from ``src`` (a docstring's ``:mod:`` target)."""
+    if str(REPO_ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
 
 
 def check_symbols(path: Path, markdown: str) -> bool:

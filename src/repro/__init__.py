@@ -42,7 +42,6 @@ Building blocks (stable, importable directly)
 * :mod:`repro.obdd` — an OBDD manager and the ConOBDD construction algorithm;
 * :mod:`repro.mvindex` — the MV-index and the MVIntersect / CC-MVIntersect
   query-time intersection algorithms;
-* :mod:`repro.safe` — lifted inference (safe plans) for UCQs on INDBs;
 * :mod:`repro.mln` — a Markov Logic Network substrate with exact and MC-SAT
   inference (the "Alchemy" baseline);
 * :mod:`repro.dblp` — a synthetic DBLP-style workload generator reproducing the

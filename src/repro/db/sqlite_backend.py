@@ -164,6 +164,15 @@ class SqliteTable:
         column_list = ", ".join(self._columns)
         with backend.lock:
             cursor = backend.connection.cursor()
+            cursor.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = ?",
+                (schema.name,),
+            )
+            if cursor.fetchone() is not None:
+                raise SchemaError(
+                    f"sqlite file {backend.path} already holds relation {schema.name!r}; "
+                    "give a path that no earlier run has filled"
+                )
             cursor.execute(f"CREATE TABLE {self._sql_name} ({column_list})")
             # Set semantics: the unique index over all columns is what makes
             # INSERT OR IGNORE equivalent to the memory backend's dict-of-rows.

@@ -22,9 +22,20 @@ heuristic.  A subscription is re-evaluated iff
   that recompiles only disjoint components cannot move the answer.
 
 Everything else is *provably unchanged and skipped* (the tier-1 tests
-assert skipped answers stay bit-identical to fresh queries).  A Δ atom
-whose own checks — constants, repeated variables, comparisons over its
-variables alone — keep no Δ row is dropped before any planning.  Skips are
+assert skipped answers stay bit-identical to fresh queries).
+
+The first test costs one evaluation per shape and Δ atom, constants
+matched per subscription, so a tick's relational work does not grow with
+the number of readers.  Each disjunct is keyed by its shape
+(:func:`~repro.serving.canonical.canonical_shape`: the disjunct with every
+``variable op constant`` comparison lifted into the head), and standing
+queries that differ only in such constants share it; the bench's
+templates are three shapes however many entities subscribe.  Each shape is
+evaluated once per Δ atom into a set of head rows, and a subscription
+derives iff some row of one of its shapes passes every one of its lifted
+comparisons (``Comparison.test``).  A Δ atom whose own checks in the shape
+— constants, repeated variables, comparisons between its own variables —
+keep no Δ row is dropped before any planning.  Skips are
 attributed: ``skips_signature`` when no appended fact derives a row and no
 component was recompiled, ``skips_bitmap`` when components were recompiled
 and the variable bitmap proved the lineage disjoint from them.  W-changing
@@ -55,7 +66,7 @@ from repro.db.table import Table
 from repro.errors import ServingError
 from repro.mvindex.summaries import variables_bitmap
 from repro.query.evaluator import evaluate_cq
-from repro.query.ucq import UCQ
+from repro.serving.canonical import shape_admits
 from repro.serving.session import QuerySession
 from repro.subscribe.registry import (
     THRESHOLD_OPS,
@@ -174,11 +185,11 @@ class SubscriptionService:
         with self.dispatcher.read_pinned() as generation:
             with self._lock:
                 ordered = self.registry.ordered()
-            derives = self._delta_rule(descriptor["rows"])
+            derives = self._delta_rule(descriptor["rows"], ordered)
             selected = [
                 subscription
                 for subscription in ordered
-                if (subscription.variables_bitmap & delta_bitmap) or derives(subscription.ucq)
+                if (subscription.variables_bitmap & delta_bitmap) or derives(subscription)
             ]
             fired = (
                 self._evaluate(selected, generation, baseline=False)
@@ -216,13 +227,20 @@ class SubscriptionService:
             if subscription.sink.get("kind") == "webhook":
                 self._submit_webhook(subscription, payload)
 
-    def _delta_rule(self, rows: Mapping[str, list[tuple]]) -> Callable[[UCQ], bool]:
-        """Whether a query derives a row from the appended ``rows`` (the delta rule).
+    def _delta_rule(
+        self, rows: Mapping[str, list[tuple]], subscriptions: list[Subscription]
+    ) -> Callable[[Subscription], bool]:
+        """Whether a subscription derives a row from the appended ``rows`` (the delta rule).
 
-        The live tables already hold the Δ rows, so each disjunct is
-        evaluated once per atom over a Δ relation, that atom reading the Δ
-        rows alone (:func:`~repro.core.engine.delta_rewrites`); a query
-        with no such row keeps every derivation it had.  Caller holds the
+        One evaluation per shape and Δ atom, constants matched per
+        subscription.  The live tables already hold the Δ rows, so each
+        distinct shape among ``subscriptions``' disjuncts
+        (:func:`~repro.serving.canonical.canonical_shape`) is evaluated
+        once per atom over a Δ relation, that atom reading the Δ rows alone
+        (:func:`~repro.core.engine.delta_rewrites`), into one set of head
+        rows.  A subscription derives iff, in some disjunct, some row of
+        its shape passes every one of its lifted comparisons; one with no
+        such row keeps every derivation it had.  Caller holds the
         dispatcher read lock.
         """
         database = self.dispatcher.engine.indb.database
@@ -232,12 +250,21 @@ class SubscriptionService:
             deltas[relation] = delta_table(database, relation, taken)
             deltas[relation].insert_many(appended)
         overlay = Database([*database, *deltas.values()])
+        derived: dict[str, set[tuple]] = {}
+        for subscription in subscriptions:
+            for key, shape_cq, __ in subscription.shapes:
+                if key not in derived:
+                    derived[key] = {
+                        row
+                        for delta_cq in delta_rewrites(shape_cq, deltas)
+                        for row in evaluate_cq(delta_cq, overlay).answers()
+                    }
 
-        def derives(ucq: UCQ) -> bool:
+        def derives(subscription: Subscription) -> bool:
             return any(
-                evaluate_cq(delta_cq, overlay)
-                for cq in ucq.disjuncts
-                for delta_cq in delta_rewrites(cq, deltas)
+                shape_admits(params, row)
+                for key, __, params in subscription.shapes
+                for row in derived[key]
             )
 
         return derives

@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.errors import ServingError
+from repro.query.cq import ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.query.ucq import UCQ, as_ucq
+from repro.serving.canonical import ShapeParams, canonical_shape
 
 #: Comparison operators a threshold predicate may use.
 THRESHOLD_OPS = {
@@ -113,6 +115,11 @@ class Subscription:
 
     # Runtime evaluation state, owned by the evaluator.
     relations: frozenset[str] = frozenset()
+    #: One :func:`~repro.serving.canonical.canonical_shape` per disjunct, so
+    #: a tick runs the delta rule once per shape, not once per subscription.
+    shapes: tuple[tuple[str, ConjunctiveQuery, ShapeParams], ...] = field(
+        default=(), repr=False
+    )
     variables: frozenset[int] = frozenset()
     #: The same lineage variables as a summary-layer bitmap, so each tick's
     #: disjointness test is one integer AND against the delta's bitmap.
@@ -231,6 +238,7 @@ class SubscriptionRegistry:
             sink=sink,
             ucq=ucq,
             relations=frozenset(ucq.relations()),
+            shapes=tuple(canonical_shape(cq) for cq in ucq.disjuncts),
         )
         self._subscriptions[sub_id] = subscription
         return subscription

@@ -112,6 +112,16 @@ class TestServingCli:
             answers = actual.query(query).to_json()["answers"]
             assert answers == expected.query(query).to_json()["answers"]
 
+    def test_save_index_on_a_filled_sqlite_path_is_a_user_error(self, capsys, tmp_path):
+        database = tmp_path / "x.db"
+        common = ["save-index", "--groups", "3", "--backend", f"sqlite:{database}"]
+        assert main([*common, "--out", str(tmp_path / "first.json.gz")]) == 0
+        capsys.readouterr()
+        assert main([*common, "--out", str(tmp_path / "second.json.gz")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(database) in err and "'Author'" in err
+        assert "internal error" not in err
+
     def test_extend_index_round_trip(self, capsys, tmp_path):
         partial = tmp_path / "partial.json.gz"
         extended = tmp_path / "extended.json.gz"

@@ -46,6 +46,7 @@ from repro.query import evaluator
 from repro.serving.artifact import engine_state
 from repro.serving.dispatch import Dispatcher
 from repro.subscribe import SubscriptionService
+from repro.subscribe import evaluator as subscribe_evaluator
 
 GROUPS = 3
 SEED = 0
@@ -591,6 +592,38 @@ class TestAppendIsDeltaSized:
             counts[groups] = per_tick
         assert counts[24] == counts[96], counts
         assert all(evaluations <= 1 for evaluations, __ in counts[24]), counts
+
+    def test_tick_work_does_not_grow_with_the_subscriptions(self, monkeypatch):
+        # The delta rule runs once per query shape and Δ atom: the bench's
+        # templates for 10 entities and for 54 are the same three shapes, so
+        # each of the three kinds of append makes as many evaluate_cq calls
+        # at 30 subscriptions as at 162.
+        calls: list[object] = []
+        evaluate_cq = subscribe_evaluator.evaluate_cq
+        monkeypatch.setattr(
+            subscribe_evaluator,
+            "evaluate_cq",
+            lambda query, database: (calls.append(query), evaluate_cq(query, database))[1],
+        )
+        counts = {}
+        for entities in (range(3, 13), range(3, 57)):
+            mvdb = build_mvdb(DblpConfig(group_count=60, seed=SEED)).mvdb
+            dispatcher = Dispatcher(MVQueryEngine(mvdb))
+            service = SubscriptionService(dispatcher)
+            try:
+                for spec in subscription_specs(entities):
+                    service.subscribe(spec, persist=False)
+                per_tick = []
+                for index in range(3):
+                    del calls[:]
+                    dispatcher.append_facts(append_payload(index, entity=3))
+                    per_tick.append(len(calls))
+            finally:
+                service.close()
+                dispatcher.close()
+            counts[len(service.registry)] = per_tick
+        assert counts[30] == counts[162], counts
+        assert all(counts[30]), counts
 
 
 class TestConcurrentAppendsOnSqlite:

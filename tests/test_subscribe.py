@@ -200,6 +200,12 @@ def test_affiliation_only_delta_skips_disjoint_subscriptions():
 #: second disjunct alone derives from fresh "Ingest Author" students, a
 #: constant that no appended Author row matches in front of a Student atom
 #: that fresh students do match, a self-join with ``<>`` and a triangle.
+#: Then queries that share a shape (``canonical_shape``) but not their
+#: constants: ``=`` on 2020 (fresh students) and 2021 (none); two year
+#: ranges over advised students, of which the W-changing student years
+#: reach only the first; ``2020 <= y`` reversed beside ``y >= 2020``; and a
+#: UCQ whose first disjunct shares the ``=`` shape and whose second derives
+#: from one Affiliation-only payload.
 DELTA_RULE_QUERIES = [
     selective_query(template, entity) for entity in (2, 3) for template in TEMPLATE_NAMES
 ] + [
@@ -208,6 +214,13 @@ DELTA_RULE_QUERIES = [
     "Q(y) :- Author(a, 'Advisor 0'), Student(s, y), y >= 2020",
     "Q(i) :- Affiliation(a1, i), Affiliation(a2, i), a1 <> a2",
     "Q(s) :- Advisor(s, a), Wrote(a, p), Wrote(s, p)",
+    "Q(s) :- Student(s, year), year = 2020",
+    "Q(s) :- Student(s, year), year = 2021",
+    "Q(s) :- Student(s, y), Advisor(s, a), y >= 1995, y <= 2012",
+    "Q(s) :- Student(s, y), Advisor(s, a), y >= 2013, y <= 2030",
+    "Q(s) :- Author(a, 'Advisor 0'), Student(s, y), 2020 <= y",
+    "Q(s) :- Student(s, year), year = 2021 ; "
+    "Q(s) :- Affiliation(s, i), i like '%ingest900004%'",
 ]
 
 
